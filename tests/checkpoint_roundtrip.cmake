@@ -4,13 +4,17 @@
 # stopped at a packet cap while checkpointing periodically, then restored
 # from the surviving checkpoint and run to completion. The stats JSON of
 # both runs — cycles, packets, recovery counters, arch_digest — must be
-# byte-identical.
+# byte-identical. The unbroken cycle and chip runs are also pinned byte for
+# byte against GOLDEN_DIR/roundtrip_<mode>.stats.json, so a refactor of the
+# machine classes cannot move guest-visible statistics unnoticed.
 #
 # Invoked in script mode with:
 #   -DMAJC_RUN=<path to majc_run>  -DWORK_DIR=<scratch dir>
+#   -DGOLDEN_DIR=<dir holding the pinned stats JSON>
 
-if(NOT DEFINED MAJC_RUN OR NOT DEFINED WORK_DIR)
-  message(FATAL_ERROR "checkpoint_roundtrip.cmake needs -DMAJC_RUN and -DWORK_DIR")
+if(NOT DEFINED MAJC_RUN OR NOT DEFINED WORK_DIR OR NOT DEFINED GOLDEN_DIR)
+  message(FATAL_ERROR
+          "checkpoint_roundtrip.cmake needs -DMAJC_RUN, -DWORK_DIR and -DGOLDEN_DIR")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -69,6 +73,16 @@ foreach(mode_flag IN ITEMS "" "-f" "-2")
   set(ckpt "${WORK_DIR}/${tag}.ckpt")
 
   run_majc(0 "${golden}" ${flags})
+  if(NOT tag STREQUAL "functional")
+    set(pinned "${GOLDEN_DIR}/roundtrip_${tag}.stats.json")
+    execute_process(
+      COMMAND "${CMAKE_COMMAND}" -E compare_files "${pinned}" "${golden}"
+      RESULT_VARIABLE pin_diff)
+    if(NOT pin_diff EQUAL 0)
+      message(FATAL_ERROR "${tag}: stats differ from the pinned ${pinned} "
+                          "(got ${golden})")
+    endif()
+  endif()
   run_majc(1 "${partial}" ${flags} "--checkpoint-out=${ckpt}"
            "--checkpoint-every=500" "--max-packets=1500")
   if(NOT EXISTS "${ckpt}")

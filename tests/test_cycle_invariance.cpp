@@ -4,6 +4,10 @@
 // flat stall counters and cached-now bookkeeping are host-only
 // optimisations, so every kernel must reproduce them bit-identically.
 //
+// The arch_digest pins (memory + registers + pc at the end of the run)
+// guard the architectural outcome the same way: a machine-structure
+// refactor must leave them untouched.
+//
 // If a future PR changes the *timing model* on purpose, re-capture these
 // numbers and say so in the commit; an unexplained diff here is a bug.
 #include <gtest/gtest.h>
@@ -26,6 +30,7 @@
 #include "src/kernels/vld.h"
 #include "src/masm/assembler.h"
 #include "src/soc/chip.h"
+#include "src/support/checkpoint.h"
 
 namespace majc {
 namespace {
@@ -34,6 +39,7 @@ struct Golden {
   const char* name;
   Cycle kernel_cycles;
   Cycle total_cycles;
+  u64 arch_digest = 0;  // compared by check() only
 };
 
 void check(const kernels::KernelSpec& spec, const Golden& g) {
@@ -42,32 +48,45 @@ void check(const kernels::KernelSpec& spec, const Golden& g) {
   ASSERT_TRUE(r.valid) << r.message;
   EXPECT_EQ(r.kernel_cycles, g.kernel_cycles);
   EXPECT_EQ(r.total_cycles, g.total_cycles);
+  EXPECT_EQ(r.arch_digest, g.arch_digest);
 }
 
 TEST(CycleInvariance, Table1DspKernels) {
-  check(kernels::make_biquad_spec(), {"biquad", 51u, 914u});
-  check(kernels::make_fir_spec(), {"fir", 1899u, 5495u});
-  check(kernels::make_iir_spec(), {"iir", 1873u, 5272u});
-  check(kernels::make_cfir_spec(), {"cfir", 10507u, 23744u});
-  check(kernels::make_lms_spec(), {"lms", 58u, 794u});
-  check(kernels::make_max_search_spec(), {"max_search", 140u, 1417u});
-  check(kernels::make_bitrev_spec(), {"bitrev", 3069u, 10909u});
-  check(kernels::make_fft_radix2_spec(), {"fft_radix2", 76180u, 76282u});
-  check(kernels::make_fft_radix4_spec(), {"fft_radix4", 58494u, 58574u});
+  check(kernels::make_biquad_spec(),
+        {"biquad", 51u, 914u, 0x6a1d6239e95b213eull});
+  check(kernels::make_fir_spec(), {"fir", 1899u, 5495u, 0x5b5dcef162b9a264ull});
+  check(kernels::make_iir_spec(), {"iir", 1873u, 5272u, 0x885ac06d93a987e1ull});
+  check(kernels::make_cfir_spec(),
+        {"cfir", 10507u, 23744u, 0xfcf8baff8036547cull});
+  check(kernels::make_lms_spec(), {"lms", 58u, 794u, 0x61b85a59c4bec2c8ull});
+  check(kernels::make_max_search_spec(),
+        {"max_search", 140u, 1417u, 0x3bee72e26e04242cull});
+  check(kernels::make_bitrev_spec(),
+        {"bitrev", 3069u, 10909u, 0xec56a8c626eab016ull});
+  check(kernels::make_fft_radix2_spec(),
+        {"fft_radix2", 76180u, 76282u, 0x3cacd389b1aac8d1ull});
+  check(kernels::make_fft_radix4_spec(),
+        {"fft_radix4", 58494u, 58574u, 0xdedcf5eb7534fe6aull});
 }
 
 TEST(CycleInvariance, Table2VideoKernels) {
-  check(kernels::make_idct_spec(), {"idct", 317u, 5115u});
-  check(kernels::make_dct_quant_spec(), {"dct_quant", 365u, 5809u});
-  check(kernels::make_vld_spec(), {"vld", 12480u, 12583u});
-  check(kernels::make_motion_est_spec(), {"motion_est", 4143u, 15474u});
-  check(kernels::make_mb_decode_spec(), {"mb_decode", 11794u, 12391u});
+  check(kernels::make_idct_spec(),
+        {"idct", 317u, 5115u, 0xb0399190dc7a3abaull});
+  check(kernels::make_dct_quant_spec(),
+        {"dct_quant", 365u, 5809u, 0x1e338c651559f984ull});
+  check(kernels::make_vld_spec(),
+        {"vld", 12480u, 12583u, 0x90ae4c178a9ef2c2ull});
+  check(kernels::make_motion_est_spec(),
+        {"motion_est", 4143u, 15474u, 0x8e0cea3396ea7520ull});
+  check(kernels::make_mb_decode_spec(),
+        {"mb_decode", 11794u, 12391u, 0x95da3883225843efull});
 }
 
 TEST(CycleInvariance, StreamingKernels) {
-  check(kernels::make_convolve_spec(), {"convolve", 1908265u, 1908456u});
+  check(kernels::make_convolve_spec(),
+        {"convolve", 1908265u, 1908456u, 0xe5ca617a929501d6ull});
   check(kernels::make_color_convert_spec(),
-        {"color_convert", 1602678u, 1603332u});
+        {"color_convert", 1602678u, 1603332u, 0x02e4eb2217fd4942ull});
 }
 
 // ---- Degraded configurations. The hot-path machinery (cache hints,
@@ -186,6 +205,7 @@ TEST(CycleInvariance, DualCpuChipGolden) {
   EXPECT_EQ(res.cycles, 429u);
   EXPECT_EQ(res.packets[0], 309u);
   EXPECT_EQ(res.packets[1], 309u);
+  EXPECT_EQ(ckpt::arch_digest(chip), 0x95eb9091437068deull);
 }
 
 // ---- Fast path vs general path. Installing a trace observer forces the
