@@ -45,7 +45,7 @@ double two_scalar_cycles(TimingConfig cfg) {
                         : "nop | add g4, g4, g3\n";   // FU1
   }
   src += "halt\n";
-  cpu::CycleSim sim(masm::assemble_or_throw(src), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(src), 1, cfg);
   const auto res = sim.run();
   require(res.halted, "two-scalar microbench did not halt");
   return static_cast<double>(res.cycles);
@@ -84,7 +84,7 @@ double stream_cycles(const TimingConfig& cfg, bool with_prefetch) {
     bnz g7, lp
     halt
   )";
-  cpu::CycleSim sim(masm::assemble_or_throw(src), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(src), 1, cfg);
   const auto res = sim.run();
   require(res.halted, "stream microbench did not halt");
   return static_cast<double>(res.cycles);
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
         bnz g7, lp
         halt
       )";
-      cpu::CycleSim sim(masm::assemble_or_throw(src), TimingConfig{});
+      soc::Majc5200 sim(masm::assemble_or_throw(src), 1, TimingConfig{});
       const auto res = sim.run();
       require(res.halted, "prefetch micro did not halt");
       return static_cast<double>(res.cycles);
@@ -172,9 +172,9 @@ int main(int argc, char** argv) {
     auto run_chip = [&](bool dual) {
       TimingConfig cfg;
       cfg.dcache_dual_ported = dual;
-      soc::Majc5200 chip(masm::assemble_or_throw(src), cfg);
+      soc::Majc5200 chip(masm::assemble_or_throw(src), 2, cfg);
       const auto res = chip.run();
-      require(res.all_halted, "dual-port ablation did not halt");
+      require(res.halted, "dual-port ablation did not halt");
       return static_cast<double>(res.cycles);
     };
     const double dual = run_chip(true);
@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
       )";
       TimingConfig cfg;
       cfg.hw_threads = threads;
-      cpu::CycleSim sim(masm::assemble_or_throw(src), cfg);
+      soc::Majc5200 sim(masm::assemble_or_throw(src), 1, cfg);
       const auto res = sim.run();
       require(res.halted, "microthreading walk did not halt");
       return static_cast<double>(res.cycles);

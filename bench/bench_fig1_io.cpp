@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   constexpr u32 kBytes = 4u << 20;
 
   {
-    soc::Majc5200 chip(masm::assemble_or_throw("halt\n"));
+    soc::Majc5200 chip(masm::assemble_or_throw("halt\n"), 2);
     // DRDRAM channel: saturate with a DTE memory-to-memory copy (reads and
     // writes share the channel, so the copy rate is half the channel rate).
     // Source and destination sit in different banks so row accesses overlap.
@@ -31,20 +31,20 @@ int main(int argc, char** argv) {
         fmt("%.2f GB/s", gb_per_s(2ull * kBytes, done)));
   }
   {
-    soc::Majc5200 chip(masm::assemble_or_throw("halt\n"));
+    soc::Majc5200 chip(masm::assemble_or_throw("halt\n"), 2);
     const Cycle done = chip.pci().stream(kBytes, true, 0);
     table.row("PCI (32-bit / 66 MHz)", "264 MB/s",
         fmt("%.0f MB/s", 1000.0 * gb_per_s(kBytes, done)));
   }
   {
-    soc::Majc5200 chip(masm::assemble_or_throw("halt\n"));
+    soc::Majc5200 chip(masm::assemble_or_throw("halt\n"), 2);
     // UPA line rate, measured against the FIFO path (no DRAM behind it).
     const Cycle done = chip.nupa().push_fifo(std::vector<u8>(4096), 0);
     table.row("North UPA line rate (FIFO fill)", "2.0 GB/s",
         fmt("%.2f GB/s", gb_per_s(4096, done)));
   }
   {
-    soc::Majc5200 chip(masm::assemble_or_throw("halt\n"));
+    soc::Majc5200 chip(masm::assemble_or_throw("halt\n"), 2);
     const Cycle done = chip.supa().stream(kBytes, false, 0);
     table.row("South UPA -> memory stream", "bounded by DRDRAM",
         fmt("%.2f GB/s", gb_per_s(kBytes, done)));
@@ -53,10 +53,10 @@ int main(int argc, char** argv) {
     // Aggregate I/O: the paper's ">4.8 GB/s" sums the interface peaks
     // (1.6 DRDRAM + 0.264 PCI + 2 x 2.0 UPA). Sum our measured rates the
     // same way, with each interface driven at its own saturation point.
-    soc::Majc5200 chip(masm::assemble_or_throw("halt\n"));
+    soc::Majc5200 chip(masm::assemble_or_throw("halt\n"), 2);
     const Cycle dte_done = chip.dte().submit({0x200000, 0x600800, kBytes}, 0);
     const double dram = gb_per_s(2ull * kBytes, dte_done);
-    soc::Majc5200 c2(masm::assemble_or_throw("halt\n"));
+    soc::Majc5200 c2(masm::assemble_or_throw("halt\n"), 2);
     const double pci = gb_per_s(kBytes, c2.pci().stream(kBytes, true, 0));
     const double nupa =
         gb_per_s(4096, c2.nupa().push_fifo(std::vector<u8>(4096), 0));

@@ -2,7 +2,7 @@
 // documented latency, bypass delay and front-end property of the MAJC CPU,
 // verified against the cycle model.
 #include "bench/bench_util.h"
-#include "src/cpu/cycle_cpu.h"
+#include "src/soc/chip.h"
 #include "src/masm/assembler.h"
 
 using namespace majc;
@@ -17,7 +17,7 @@ TimingConfig ideal() {
 }
 
 Cycle run_cycles(const std::string& src, const TimingConfig& cfg = ideal()) {
-  cpu::CycleSim sim(masm::assemble_or_throw(src), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(src), 1, cfg);
   const auto res = sim.run();
   require(res.halted, "microbenchmark did not halt");
   return res.cycles;
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       bnz g3, lp
       halt
     )";
-    cpu::CycleSim sim(masm::assemble_or_throw(loop), ideal());
+    soc::Majc5200 sim(masm::assemble_or_throw(loop), 1, ideal());
     sim.run();
     table.row("gshare accuracy (biased loop)", "~100 %",
         fmt("%.1f %%", 100.0 * sim.cpu().predictor().accuracy()));
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
       bnz g3, lp
       halt
     )";
-    cpu::CycleSim sim(masm::assemble_or_throw(prog), ideal());
+    soc::Majc5200 sim(masm::assemble_or_throw(prog), 1, ideal());
     sim.run();
     const auto& h = sim.cpu().stats().width_hist;
     std::printf("\nissue-width histogram (mixed loop): 1-wide %llu, 2-wide "

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "src/cpu/cycle_cpu.h"
 #include "src/farm/farm.h"
 #include "src/kernels/biquad.h"
 #include "src/kernels/bitrev.h"
@@ -113,10 +112,10 @@ Sample run_functional(const sim::ProgramRef& prog,
 }
 
 Sample run_cycle(const masm::Image& img, const kernels::KernelSpec& spec) {
-  cpu::CycleSim sim(img, TimingConfig{}, kMemBytes);
+  soc::Majc5200 sim(img, 1, TimingConfig{}, kMemBytes);
   if (spec.setup) spec.setup(sim.memory(), sim.program().image());
   const auto t0 = Clock::now();
-  const cpu::CycleSim::Result res = sim.run(spec.max_packets);
+  const soc::Majc5200::Result res = sim.run(spec.max_packets);
   return {res.packets, res.instrs, since(t0)};
 }
 
@@ -159,19 +158,14 @@ std::string sop_program() {
 }
 
 Sample run_chip(const masm::Image& img) {
-  soc::Majc5200 chip(img, TimingConfig{}, kMemBytes);
+  soc::Majc5200 chip(img, 2, TimingConfig{}, kMemBytes);
   SplitMix64 rng(404);
   for (u32 i = 0; i < kSopTotal; ++i) {
     chip.memory().write_u32(kSopBase + 4 * i, rng.next_below(1000));
   }
   const auto t0 = Clock::now();
   const soc::Majc5200::Result res = chip.run();
-  Sample s{0, 0, since(t0)};
-  for (u32 c = 0; c < soc::Majc5200::kNumCpus; ++c) {
-    s.packets += res.packets[c];
-    s.instrs += res.instrs[c];
-  }
-  return s;
+  return {res.packets, res.instrs, since(t0)};
 }
 
 /// Aggregate farm throughput: one rep = a fault-free cycle-mode campaign of

@@ -12,9 +12,9 @@ namespace {
 
 /// Run the burst on both CPUs of the chip; returns aggregate ops/second.
 double dual_cpu_rate(const kernels::PeakSpec& spec, double per_iter) {
-  soc::Majc5200 chip(masm::assemble_or_throw(spec.kernel.source));
+  soc::Majc5200 chip(masm::assemble_or_throw(spec.kernel.source), 2);
   const auto res = chip.run();
-  require(res.all_halted, "peak kernel did not halt");
+  require(res.halted, "peak kernel did not halt");
   double rate = 0;
   for (u32 c = 0; c < 2; ++c) {
     const Addr ticks = chip.program().image().symbol("ticks");

@@ -5,7 +5,7 @@
 //   $ ./majc_run prog.s              # cycle-accurate run
 //   $ ./majc_run -f prog.s           # instruction-accurate (fast) run
 //   $ ./majc_run -d prog.s           # disassemble only
-//   $ ./majc_run -2 prog.s           # run on both CPUs of the chip model
+//   $ ./majc_run -2 prog.s           # cycle-accurate run on both CPUs
 //   $ ./majc_run -c prog.s           # static schedule check only
 //   $ ./majc_run -t prog.s           # cycle run with a pipeline trace
 //
@@ -42,7 +42,6 @@
 #include <sstream>
 #include <vector>
 
-#include "src/cpu/cycle_cpu.h"
 #include "src/cpu/report.h"
 #include "src/cpu/schedule_check.h"
 #include "src/isa/disasm.h"
@@ -271,9 +270,10 @@ int main(int argc, char** argv) {
     return res.reason == TerminationReason::kHalted ? 0 : 1;
   }
 
-  // The timed modes share the observer plumbing: an optional Chrome trace
-  // stream, an optional profiler, and the legacy -t console print compose
-  // onto the same per-packet event stream.
+  // Cycle-accurate run on one CPU, or on both with -2. The observer
+  // plumbing is per CPU: an optional Chrome trace stream, an optional
+  // profiler, and the legacy -t console print compose onto the same
+  // per-packet event stream.
   std::ofstream trace_file;
   std::unique_ptr<trace::ChromeTraceWriter> writer;
   if (opt.trace_out != nullptr) {
@@ -289,147 +289,86 @@ int main(int argc, char** argv) {
                                                                   : trace_file);
   }
 
-  if (opt.dual) {
-    soc::Majc5200 chip(*image);
-    if (opt.restore != nullptr && !restore_from(opt.restore, chip)) return 2;
-    std::vector<std::unique_ptr<trace::CpuTraceRecorder>> recorders;
-    std::vector<std::unique_ptr<trace::LsuTraceRecorder>> lsu_recorders;
-    std::unique_ptr<trace::DteTraceRecorder> dte_recorder;
-    std::vector<std::unique_ptr<trace::CycleProfiler>> profilers;
-    for (u32 c = 0; c < soc::Majc5200::kNumCpus; ++c) {
-      if (opt.profile) {
-        profilers.push_back(
-            std::make_unique<trace::CycleProfiler>(chip.program()));
-      }
-      if (writer) {
-        recorders.push_back(std::make_unique<trace::CpuTraceRecorder>(
-            *writer, chip.program(), chip.memsys().config(), c));
-        lsu_recorders.push_back(
-            std::make_unique<trace::LsuTraceRecorder>(*writer, c));
-        lsu_recorders.back()->attach(chip.memsys().lsu(c));
-      }
-      if (writer || opt.profile || opt.trace_print) {
-        trace::CpuTraceRecorder* rec = writer ? recorders.back().get() : nullptr;
-        trace::CycleProfiler* prof = opt.profile ? profilers.back().get() : nullptr;
-        const bool echo = opt.trace_print;
-        chip.cpu(c).set_trace([rec, prof, echo](const cpu::TraceEvent& ev) {
-          if (rec != nullptr) rec->on_event(ev);
-          if (prof != nullptr) prof->on_event(ev);
-          if (echo) print_legacy_trace(ev);
-        });
-      }
+  soc::Majc5200 m(*image, opt.dual ? 2 : 1);
+  if (opt.restore != nullptr && !restore_from(opt.restore, m)) return 2;
+  std::vector<std::unique_ptr<trace::CpuTraceRecorder>> recorders;
+  std::vector<std::unique_ptr<trace::LsuTraceRecorder>> lsu_recorders;
+  std::unique_ptr<trace::DteTraceRecorder> dte_recorder;
+  std::vector<std::unique_ptr<trace::CycleProfiler>> profilers;
+  for (u32 c = 0; c < m.num_cpus(); ++c) {
+    if (opt.profile) {
+      profilers.push_back(std::make_unique<trace::CycleProfiler>(m.program()));
     }
     if (writer) {
-      dte_recorder = std::make_unique<trace::DteTraceRecorder>(*writer);
-      dte_recorder->attach(chip.dte());
+      recorders.push_back(std::make_unique<trace::CpuTraceRecorder>(
+          *writer, m.program(), m.memsys().config(), c));
+      lsu_recorders.push_back(
+          std::make_unique<trace::LsuTraceRecorder>(*writer, c));
+      lsu_recorders.back()->attach(m.memsys().lsu(c));
     }
-    // run()'s cap is an absolute per-CPU packet count, so re-calling with a
-    // larger cap resumes where the previous chunk stopped.
-    soc::Majc5200::Result res;
-    for (;;) {
-      u64 done = 0;
-      for (u32 c = 0; c < soc::Majc5200::kNumCpus; ++c)
-        done = std::max(done, chip.cpu(c).stats().packets);
-      const u64 cap =
-          opt.checkpoint_every != 0
-              ? std::min(done + opt.checkpoint_every, opt.max_packets)
-              : opt.max_packets;
-      res = chip.run(cap);
-      if (opt.checkpoint_out != nullptr && !save_to(opt.checkpoint_out, chip))
-        return 2;
-      if (res.reason != TerminationReason::kPacketCap ||
-          opt.checkpoint_every == 0 || cap >= opt.max_packets)
-        break;
-    }
-    if (writer) writer->finish();
-    for (u32 c = 0; c < 2; ++c) {
-      std::fputs(chip.cpu(c).console().c_str(), stdout);
-    }
-    std::printf(
-        "[chip] %llu cycles; cpu0 %llu packets, cpu1 %llu packets, %s\n",
-        static_cast<unsigned long long>(res.cycles),
-        static_cast<unsigned long long>(res.packets[0]),
-        static_cast<unsigned long long>(res.packets[1]),
-        termination_reason_name(res.reason));
-    if (!res.dump.empty()) std::fputs(res.dump.c_str(), stderr);
-    for (u32 c = 0; c < profilers.size(); ++c) {
-      std::printf("\n[cpu%u]\n", c);
-      std::fputs(profilers[c]
-                     ->report(opt.profile_top, res.cycles,
-                              chip.memsys().config().mt_switch_penalty)
-                     .c_str(),
-                 stdout);
-    }
-    if (opt.stats_json != nullptr) {
-      write_file_or_stdout(opt.stats_json, [&](std::ostream& os) {
-        trace::write_stats_json(os, chip, res);
+    if (writer || opt.profile || opt.trace_print) {
+      trace::CpuTraceRecorder* rec = writer ? recorders.back().get() : nullptr;
+      trace::CycleProfiler* prof = opt.profile ? profilers.back().get() : nullptr;
+      const bool echo = opt.trace_print;
+      m.cpu(c).set_trace([rec, prof, echo](const cpu::TraceEvent& ev) {
+        if (rec != nullptr) rec->on_event(ev);
+        if (prof != nullptr) prof->on_event(ev);
+        if (echo) print_legacy_trace(ev);
       });
     }
-    return res.reason == TerminationReason::kHalted ? 0 : 1;
   }
-
-  cpu::CycleSim sim(*image);
-  if (opt.restore != nullptr && !restore_from(opt.restore, sim)) return 2;
-  std::unique_ptr<trace::CpuTraceRecorder> recorder;
-  std::unique_ptr<trace::LsuTraceRecorder> lsu_recorder;
-  std::unique_ptr<trace::CycleProfiler> profiler;
   if (writer) {
-    recorder = std::make_unique<trace::CpuTraceRecorder>(
-        *writer, sim.program(), sim.memsys().config(), 0);
-    lsu_recorder = std::make_unique<trace::LsuTraceRecorder>(*writer, 0);
-    lsu_recorder->attach(sim.memsys().lsu(0));
+    dte_recorder = std::make_unique<trace::DteTraceRecorder>(*writer);
+    dte_recorder->attach(m.dte());
   }
-  if (opt.profile) {
-    profiler = std::make_unique<trace::CycleProfiler>(sim.program());
-  }
-  if (writer || profiler || opt.trace_print) {
-    trace::CpuTraceRecorder* rec = recorder.get();
-    trace::CycleProfiler* prof = profiler.get();
-    const bool echo = opt.trace_print;
-    sim.cpu().set_trace([rec, prof, echo](const cpu::TraceEvent& ev) {
-      if (rec != nullptr) rec->on_event(ev);
-      if (prof != nullptr) prof->on_event(ev);
-      if (echo) print_legacy_trace(ev);
-    });
-  }
-  cpu::CycleSim::Result res;
+  // run()'s cap is an absolute per-CPU packet count, so re-calling with a
+  // larger cap resumes where the previous chunk stopped.
+  soc::Majc5200::Result res;
   for (;;) {
-    const u64 done = sim.cpu().stats().packets;
+    u64 done = 0;
+    for (u32 c = 0; c < m.num_cpus(); ++c)
+      done = std::max(done, m.cpu(c).stats().packets);
     const u64 cap =
         opt.checkpoint_every != 0
             ? std::min(done + opt.checkpoint_every, opt.max_packets)
             : opt.max_packets;
-    res = sim.run(cap);
-    if (opt.checkpoint_out != nullptr && !save_to(opt.checkpoint_out, sim))
+    res = m.run(cap);
+    if (opt.checkpoint_out != nullptr && !save_to(opt.checkpoint_out, m))
       return 2;
     if (res.reason != TerminationReason::kPacketCap ||
-        opt.checkpoint_every == 0 || res.packets >= opt.max_packets)
+        opt.checkpoint_every == 0 || cap >= opt.max_packets)
       break;
   }
   if (writer) writer->finish();
-  std::fputs(sim.console().c_str(), stdout);
-  std::printf("[cycle] %llu cycles, %llu instructions, IPC %.2f, %s\n",
-              static_cast<unsigned long long>(res.cycles),
-              static_cast<unsigned long long>(res.instrs), res.ipc(),
-              termination_reason_name(res.reason));
-  if (res.reason == TerminationReason::kTrap) {
-    std::fputs(sim::trap_report(res.trap, sim.program(),
-                                sim.cpu().state(sim.cpu().active_thread()))
-                   .c_str(),
-               stderr);
+  for (u32 c = 0; c < m.num_cpus(); ++c) {
+    std::fputs(m.cpu(c).console().c_str(), stdout);
   }
-  std::fputs(cpu::performance_report(sim).c_str(), stdout);
-  if (profiler) {
-    std::fputs(
-        profiler
-            ->report(opt.profile_top, res.cycles,
-                     sim.memsys().config().mt_switch_penalty)
-            .c_str(),
-        stdout);
+  if (m.num_cpus() == 1) {
+    std::printf("[cycle] %llu cycles, %llu instructions, IPC %.2f, %s\n",
+                static_cast<unsigned long long>(res.cycles),
+                static_cast<unsigned long long>(res.instrs), res.ipc(),
+                termination_reason_name(res.reason));
+  } else {
+    std::printf(
+        "[chip] %llu cycles; cpu0 %llu packets, cpu1 %llu packets, %s\n",
+        static_cast<unsigned long long>(res.cycles),
+        static_cast<unsigned long long>(m.cpu(0).stats().packets),
+        static_cast<unsigned long long>(m.cpu(1).stats().packets),
+        termination_reason_name(res.reason));
+  }
+  std::fputs(res.dump.c_str(), stderr);
+  std::fputs(cpu::performance_report(m).c_str(), stdout);
+  for (u32 c = 0; c < profilers.size(); ++c) {
+    if (m.num_cpus() > 1) std::printf("\n[cpu%u]\n", c);
+    std::fputs(profilers[c]
+                   ->report(opt.profile_top, res.cycles,
+                            m.memsys().config().mt_switch_penalty)
+                   .c_str(),
+               stdout);
   }
   if (opt.stats_json != nullptr) {
     write_file_or_stdout(opt.stats_json, [&](std::ostream& os) {
-      trace::write_stats_json(os, sim, res);
+      trace::write_stats_json(os, m, res);
     });
   }
   return res.reason == TerminationReason::kHalted ? 0 : 1;

@@ -5,9 +5,9 @@
 //   $ ./quickstart
 #include <cstdio>
 
-#include "src/cpu/cycle_cpu.h"
 #include "src/masm/assembler.h"
 #include "src/sim/functional_sim.h"
+#include "src/soc/chip.h"
 
 int main() {
   // A VLIW packet per line; slot 0 is FU0 (memory/control), slots 1-3 are
@@ -46,8 +46,9 @@ int main() {
               static_cast<unsigned long long>(fres.instrs),
               fsim.console().c_str());
 
-  // 2. Cycle-accurate run (same image, identical results by construction).
-  majc::cpu::CycleSim csim(majc::masm::assemble_or_throw(source));
+  // 2. Cycle-accurate run on one CPU of the chip (same image, identical
+  //    results by construction).
+  majc::soc::Majc5200 csim(image, /*num_cpus=*/1);
   const auto cres = csim.run();
   std::printf("cycle-accurate: %llu cycles, IPC %.2f\n",
               static_cast<unsigned long long>(cres.cycles), cres.ipc());

@@ -365,66 +365,4 @@ CycleCpu::RunEnd CycleCpu::run_steps(u64 max_packets, u64 wd,
   return RunEnd::kLimit;
 }
 
-CycleSim::CycleSim(masm::Image image, const TimingConfig& cfg,
-                   std::size_t mem_bytes)
-    : CycleSim(sim::make_program(std::move(image)), cfg, mem_bytes) {}
-
-CycleSim::CycleSim(sim::ProgramRef program, const TimingConfig& cfg,
-                   std::size_t mem_bytes)
-    : prog_(std::move(program)), mem_(mem_bytes) {
-  init(cfg);
-}
-
-void CycleSim::init(const TimingConfig& cfg) {
-  ms_.emplace(cfg);
-  eccmem_.emplace(mem_, ms_->fault_plan());
-  eccmem_->set_poison_hook([this](Addr line) { ms_->poison_line(line); });
-  sim::load_image(prog_->image(), mem_);
-  cpu_ = std::make_unique<CycleCpu>(*prog_, *eccmem_, *ms_, /*cpu_id=*/0);
-  for (u32 t = 0; t < cpu_->hw_threads(); ++t) {
-    // Distinct stacks per hardware thread, 64 KB apart below the top.
-    cpu_->state(t).regs[2] =
-        static_cast<u32>(mem_.size() - 64 - t * (64u << 10));
-  }
-}
-
-void CycleSim::reset(sim::ProgramRef program, const TimingConfig& cfg) {
-  if (program) prog_ = std::move(program);
-  // Reuse the arena: re-zero it instead of reallocating 32 MB of fresh
-  // pages per job, then rebuild the machine around it. Everything except
-  // the arena's allocation is reconstructed, so a reset machine reproduces
-  // a fresh machine's run bit-for-bit (tests/test_farm.cpp asserts this).
-  auto raw = mem_.raw();
-  std::fill(raw.begin(), raw.end(), u8{0});
-  init(cfg);
-}
-
-CycleSim::Result CycleSim::run(u64 max_packets) {
-  Result res;
-  const CycleCpu::RunEnd end = cpu_->run_steps(
-      max_packets, ms_->config().watchdog_cycles, /*ext_progress=*/0,
-      /*limit=*/~Cycle{0});
-  res.cycles = cpu_->now();
-  res.packets = cpu_->stats().packets;
-  res.instrs = cpu_->stats().instrs;
-  switch (end) {
-    case CycleCpu::RunEnd::kTrap:
-      res.reason = TerminationReason::kTrap;
-      res.trap = *cpu_->trap();
-      break;
-    case CycleCpu::RunEnd::kWatchdog:
-      res.reason = TerminationReason::kWatchdog;
-      break;
-    case CycleCpu::RunEnd::kHalted:
-      res.halted = true;
-      res.reason = TerminationReason::kHalted;
-      break;
-    case CycleCpu::RunEnd::kBudget:
-    case CycleCpu::RunEnd::kLimit:
-      res.reason = TerminationReason::kPacketCap;
-      break;
-  }
-  return res;
-}
-
 } // namespace majc::cpu

@@ -27,7 +27,6 @@
 
 #include "src/cpu/branch_predictor.h"
 #include "src/cpu/scoreboard.h"
-#include "src/mem/ecc.h"
 #include "src/mem/memsys.h"
 #include "src/sim/functional_sim.h"
 #include "src/support/stats.h"
@@ -239,68 +238,6 @@ private:
   std::optional<Trap> trap_;
   Trap last_trap_;
   Cycle last_progress_ = 0;
-};
-
-/// Single-CPU convenience harness mirroring FunctionalSim: owns the memory,
-/// the ECC layer, the memory system and one CycleCpu.
-class CycleSim {
-public:
-  explicit CycleSim(masm::Image image, const TimingConfig& cfg = {},
-                    std::size_t mem_bytes = sim::FlatMemory::kDefaultBytes);
-  /// Share a predecoded program instead of assembling a private copy (the
-  /// farm engine predecodes each image once for all workers).
-  explicit CycleSim(sim::ProgramRef program, const TimingConfig& cfg = {},
-                    std::size_t mem_bytes = sim::FlatMemory::kDefaultBytes);
-
-  /// Reinitialize in place for a fresh run — optionally of a different
-  /// program and timing config — reusing the memory arena instead of
-  /// reallocating it. A reset machine is indistinguishable from a newly
-  /// constructed one: caches, LSU, branch predictor, fault streams and
-  /// statistics all restart from their constructed state.
-  void reset(sim::ProgramRef program, const TimingConfig& cfg);
-
-  struct Result {
-    Cycle cycles = 0;
-    u64 packets = 0;
-    u64 instrs = 0;
-    bool halted = false;
-    TerminationReason reason = TerminationReason::kPacketCap;
-    Trap trap;  // valid (code != kNone) only when reason == kTrap
-    double ipc() const {
-      return cycles == 0 ? 0.0
-                         : static_cast<double>(instrs) /
-                               static_cast<double>(cycles);
-    }
-  };
-
-  Result run(u64 max_packets = 100'000'000);
-
-  CycleCpu& cpu() { return *cpu_; }
-  const CycleCpu& cpu() const { return *cpu_; }
-  mem::MemorySystem& memsys() { return *ms_; }
-  const mem::MemorySystem& memsys() const { return *ms_; }
-  sim::FlatMemory& memory() { return mem_; }
-  const sim::FlatMemory& memory() const { return mem_; }
-  mem::EccMemory& ecc() { return *eccmem_; }
-  const mem::EccMemory& ecc() const { return *eccmem_; }
-  const sim::Program& program() const { return *prog_; }
-  const std::string& console() const { return cpu_->console(); }
-
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
-
-private:
-  /// (Re)build everything downstream of the arena: memory contents, memory
-  /// system, ECC decoration, CPU. Shared by the constructor and reset().
-  void init(const TimingConfig& cfg);
-
-  sim::ProgramRef prog_;
-  sim::FlatMemory mem_;
-  // optional so reset() can reconstruct in place (machine reuse); engaged
-  // for the whole life of the object after construction.
-  std::optional<mem::MemorySystem> ms_;
-  std::optional<mem::EccMemory> eccmem_;
-  std::unique_ptr<CycleCpu> cpu_;
 };
 
 } // namespace majc::cpu

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/soc/chip.h"
+
 namespace majc::cpu {
 namespace {
 
@@ -13,14 +15,12 @@ void line(std::ostringstream& os, const char* label, double value,
   os << buf;
 }
 
-} // namespace
-
-std::string performance_report(CycleCpu& cpu, mem::MemorySystem& ms) {
+void cpu_report(std::ostringstream& os, CycleCpu& cpu, mem::MemorySystem& ms,
+                const std::string& title, u32 id) {
   const CpuStats& st = cpu.stats();
   const auto cycles = static_cast<double>(cpu.now());
   const auto packets = static_cast<double>(st.packets);
-  std::ostringstream os;
-  os << "=== MAJC CPU performance report ===\n";
+  os << "=== MAJC " << title << " performance report ===\n";
   line(os, "cycles", cycles, "");
   line(os, "packets", packets, "");
   line(os, "instructions", static_cast<double>(st.instrs), "");
@@ -47,7 +47,7 @@ std::string performance_report(CycleCpu& cpu, mem::MemorySystem& ms) {
   line(os, "  mean width", st.width_hist.mean(), "");
 
   os << "memory and prediction:\n";
-  line(os, "  I$ hit rate", 100.0 * ms.icache(0).hit_rate(), "%");
+  line(os, "  I$ hit rate", 100.0 * ms.icache(id).hit_rate(), "%");
   line(os, "  D$ hit rate", 100.0 * ms.dcache().hit_rate(), "%");
   line(os, "  branch accuracy", 100.0 * cpu.predictor().accuracy(), "%");
   line(os, "  DRDRAM busy", static_cast<double>(ms.dram().busy_cycles()),
@@ -56,11 +56,17 @@ std::string performance_report(CycleCpu& cpu, mem::MemorySystem& ms) {
     line(os, "  context switches", static_cast<double>(st.thread_switches),
          "");
   }
-  return os.str();
 }
 
-std::string performance_report(CycleSim& sim) {
-  return performance_report(sim.cpu(), sim.memsys());
+} // namespace
+
+std::string performance_report(soc::Majc5200& m) {
+  std::ostringstream os;
+  for (u32 c = 0; c < m.num_cpus(); ++c) {
+    cpu_report(os, m.cpu(c), m.memsys(),
+               m.num_cpus() == 1 ? "CPU" : "cpu" + std::to_string(c), c);
+  }
+  return os.str();
 }
 
 } // namespace majc::cpu

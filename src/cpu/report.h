@@ -5,15 +5,13 @@
 
 #include <string>
 
-#include "src/cpu/cycle_cpu.h"
+namespace majc::soc {
+class Majc5200;
+}
 
 namespace majc::cpu {
 
-/// Full report for a finished single-CPU run.
-std::string performance_report(CycleSim& sim);
-
-/// Report for one CPU of a chip-level run (caller supplies the CPU and the
-/// memory system it ran against).
-std::string performance_report(CycleCpu& cpu, mem::MemorySystem& ms);
+/// Full report for a finished run: one section per CPU of the machine.
+std::string performance_report(soc::Majc5200& m);
 
 } // namespace majc::cpu

@@ -107,13 +107,13 @@ constexpr u64 kImplicitDeadlineSlice = 65'536;
 /// ABSOLUTE packet cap; reset() hands back a machine indistinguishable from
 /// a newly constructed one.
 struct CycleDriver {
-  cpu::CycleSim& m;
+  soc::Majc5200& m;
   const kernels::CompiledKernel& k;
   const TimingConfig& cfg;
 
-  cpu::CycleSim& machine() { return m; }
+  soc::Majc5200& machine() { return m; }
   u64 packets() const { return m.cpu().stats().packets; }
-  cpu::CycleSim::Result run_to(u64 cap) { return m.run(cap); }
+  soc::Majc5200::Result run_to(u64 cap) { return m.run(cap); }
   void reset() { m.reset(k.program, cfg); }
   std::vector<u8> save() const { return ckpt::save_checkpoint(m); }
   void restore(const std::vector<u8>& b) { ckpt::restore_checkpoint(m, b); }
@@ -162,7 +162,7 @@ AttemptStatus run_attempt(Driver d, const kernels::KernelSpec& spec,
   double prior_secs = resume != nullptr ? resume->attempt_secs : 0.0;
   u32 slice_no = resume != nullptr ? resume->slices : 0;
 
-  d.reset();
+  // The machine arrives freshly reset from WorkerMachines::acquire_*.
   if (resume != nullptr) {
     d.restore(resume->checkpoint);
   } else {
@@ -263,8 +263,9 @@ JobStatus run_resilient(const kernels::CompiledKernel& k, const Job& job,
         st = run_attempt(d, k.spec, job, job_index, opts, attempt, rs, out,
                          suspended_out, fail);
       } else {
-        FunctionalDriver d{machines.acquire_functional(k.program), k,
-                           job.backend};
+        sim::FunctionalSim& fm = machines.acquire_functional(k.program);
+        fm.set_backend(job.backend);  // acquire's reset restored the default
+        FunctionalDriver d{fm, k, job.backend};
         st = run_attempt(d, k.spec, job, job_index, opts, attempt, rs, out,
                          suspended_out, fail);
       }
@@ -384,17 +385,13 @@ kernels::KernelRun WorkerMachines::run(const kernels::CompiledKernel& k,
     m.set_backend(job.backend);
     return kernels::run_kernel_on(m, k.spec);
   }
-  if (!cycle_) {
-    cycle_.emplace(k.program, job.cfg);
-    return kernels::run_kernel_on(*cycle_, k.spec);
-  }
-  return kernels::run_compiled(k, job.cfg, *cycle_);
+  return kernels::run_kernel_on(acquire_cycle(k.program, job.cfg), k.spec);
 }
 
-cpu::CycleSim& WorkerMachines::acquire_cycle(const sim::ProgramRef& program,
+soc::Majc5200& WorkerMachines::acquire_cycle(const sim::ProgramRef& program,
                                              const TimingConfig& cfg) {
   if (!cycle_) {
-    cycle_.emplace(program, cfg);
+    cycle_.emplace(program, /*num_cpus=*/1, cfg);
   } else {
     cycle_->reset(program, cfg);
   }

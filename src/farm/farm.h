@@ -10,10 +10,10 @@
 //     once (kernels::CompiledKernel); every worker aliases the same
 //     read-only sim::Program instead of re-deriving it per job. This is a
 //     constant per-job saving that shows up even at --jobs=1.
-//   * per-worker machine reuse — each worker owns one resettable CycleSim /
-//     FunctionalSim arena and reinitializes it in place per job
-//     (CycleSim::reset), so the 32 MB guest arena is allocated once per
-//     worker, not once per job.
+//   * per-worker machine reuse — each worker owns one resettable one-CPU
+//     soc::Majc5200 and one FunctionalSim arena and reinitializes them in
+//     place per job (reset()), so the 32 MB guest arena is allocated once
+//     per worker, not once per job.
 //   * deterministic aggregation — jobs are pulled from an atomic cursor in
 //     any order, but results land in a submission-order vector, and
 //     campaign JSON (src/farm/campaign.h) carries no host-timing fields, so
@@ -44,7 +44,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/cpu/cycle_cpu.h"
 #include "src/kernels/kernel.h"
 #include "src/sim/functional_sim.h"
 #include "src/soc/config.h"
@@ -261,8 +260,9 @@ private:
   std::unordered_map<u32, Suspended> suspended_;
 };
 
-/// Per-worker reusable machines: one cycle arena and one functional arena,
-/// constructed on first use and reset in place for every subsequent job.
+/// Per-worker reusable machines: one cycle arena (a one-CPU Majc5200) and
+/// one functional arena, constructed on first use and reset in place for
+/// every subsequent job.
 /// Also usable standalone (the soak harness's serial path and tests).
 class WorkerMachines {
 public:
@@ -271,12 +271,12 @@ public:
   /// Machine handout for the resilient executor: ensure the machine exists
   /// and is freshly reset to (program, cfg) — i.e. indistinguishable from a
   /// newly constructed one.
-  cpu::CycleSim& acquire_cycle(const sim::ProgramRef& program,
+  soc::Majc5200& acquire_cycle(const sim::ProgramRef& program,
                                const TimingConfig& cfg);
   sim::FunctionalSim& acquire_functional(const sim::ProgramRef& program);
 
 private:
-  std::optional<cpu::CycleSim> cycle_;
+  std::optional<soc::Majc5200> cycle_;
   std::optional<sim::FunctionalSim> functional_;
 };
 

@@ -24,7 +24,7 @@ void fill_common(KernelRun& run, const masm::Image& img, sim::MemoryBus& mem,
 
 } // namespace
 
-void setup_kernel(cpu::CycleSim& sim, const KernelSpec& spec) {
+void setup_kernel(soc::Majc5200& sim, const KernelSpec& spec) {
   if (spec.setup) spec.setup(sim.memory(), sim.program().image());
 }
 
@@ -32,8 +32,8 @@ void setup_kernel(sim::FunctionalSim& sim, const KernelSpec& spec) {
   if (spec.setup) spec.setup(sim.memory(), sim.program().image());
 }
 
-KernelRun finalize_kernel(cpu::CycleSim& sim, const KernelSpec& spec,
-                          const cpu::CycleSim::Result& res) {
+KernelRun finalize_kernel(soc::Majc5200& sim, const KernelSpec& spec,
+                          const soc::Majc5200::Result& res) {
   KernelRun run;
   run.total_cycles = res.cycles;
   run.packets = res.packets;
@@ -48,15 +48,17 @@ KernelRun finalize_kernel(cpu::CycleSim& sim, const KernelSpec& spec,
   run.recovery.ecc_retried = sim.ecc().retried();
   run.recovery.ecc_poisoned = sim.ecc().poisoned_lines();
   run.recovery.machine_checks = sim.ecc().machine_checks();
-  run.recovery.fill_parity_retries =
-      ms.ifetch_parity_retries() +
-      ms.lsu(0).counter(mem::LsuCounter::kFillParityRetries);
-  run.recovery.fill_machine_checks =
-      ms.ifetch_machine_checks() +
-      ms.lsu(0).counter(mem::LsuCounter::kFillMachineChecks);
+  run.recovery.fill_parity_retries = ms.ifetch_parity_retries();
+  run.recovery.fill_machine_checks = ms.ifetch_machine_checks();
+  for (u32 c = 0; c < sim.num_cpus(); ++c) {
+    run.recovery.fill_parity_retries +=
+        ms.lsu(c).counter(mem::LsuCounter::kFillParityRetries);
+    run.recovery.fill_machine_checks +=
+        ms.lsu(c).counter(mem::LsuCounter::kFillMachineChecks);
+    run.recovery.traps_delivered += sim.cpu(c).stats().traps_delivered;
+  }
   run.recovery.xbar_delayed_grants = ms.xbar().delayed_grants();
   run.recovery.xbar_dropped_grants = ms.xbar().dropped_grants();
-  run.recovery.traps_delivered = sim.cpu().stats().traps_delivered;
   fill_common(run, sim.program().image(), sim.memory(), spec);
   if (!res.halted) {
     run.valid = false;
@@ -88,7 +90,7 @@ KernelRun finalize_kernel(sim::FunctionalSim& sim, const KernelSpec& spec,
   return run;
 }
 
-KernelRun run_kernel_on(cpu::CycleSim& sim, const KernelSpec& spec) {
+KernelRun run_kernel_on(soc::Majc5200& sim, const KernelSpec& spec) {
   setup_kernel(sim, spec);
   return finalize_kernel(sim, spec, sim.run(spec.max_packets));
 }
@@ -100,7 +102,7 @@ KernelRun run_kernel_on(sim::FunctionalSim& sim, const KernelSpec& spec) {
 
 KernelRun run_kernel(const KernelSpec& spec, const TimingConfig& cfg) {
   masm::Image img = masm::assemble_or_throw(spec.source);
-  cpu::CycleSim sim(std::move(img), cfg);
+  soc::Majc5200 sim(std::move(img), /*num_cpus=*/1, cfg);
   return run_kernel_on(sim, spec);
 }
 
@@ -119,18 +121,6 @@ CompiledKernel compile_kernel(KernelSpec spec) {
   k.program->threaded();
   k.spec = std::move(spec);
   return k;
-}
-
-KernelRun run_compiled(const CompiledKernel& k, const TimingConfig& cfg,
-                       cpu::CycleSim& machine) {
-  machine.reset(k.program, cfg);
-  return run_kernel_on(machine, k.spec);
-}
-
-KernelRun run_compiled_functional(const CompiledKernel& k,
-                                  sim::FunctionalSim& machine) {
-  machine.reset(k.program);
-  return run_kernel_on(machine, k.spec);
 }
 
 std::string load_addr(u32 greg, const std::string& sym) {

@@ -13,8 +13,8 @@
 #include <functional>
 #include <string>
 
-#include "src/cpu/cycle_cpu.h"
 #include "src/masm/assembler.h"
+#include "src/soc/chip.h"
 
 namespace majc::kernels {
 
@@ -59,7 +59,7 @@ struct KernelRun {
   } recovery;
 };
 
-/// Assemble and run `spec` on a single cycle-accurate CPU.
+/// Assemble and run `spec` on a one-CPU cycle-accurate machine.
 KernelRun run_kernel(const KernelSpec& spec, const TimingConfig& cfg = {});
 
 /// Run on the instruction-accurate simulator only (fast path for pure
@@ -77,22 +77,12 @@ struct CompiledKernel {
 /// Assemble + predecode `spec` once for repeated / concurrent running.
 CompiledKernel compile_kernel(KernelSpec spec);
 
-/// Run a compiled kernel on a reusable machine: the machine is reset in
-/// place (arena reuse) instead of constructing a fresh simulator, and the
-/// result is bit-identical to run_kernel(spec, cfg) on a fresh machine.
-KernelRun run_compiled(const CompiledKernel& k, const TimingConfig& cfg,
-                       cpu::CycleSim& machine);
-
-/// Functional-mode counterpart of run_compiled (timing-free, like
-/// run_kernel_functional).
-KernelRun run_compiled_functional(const CompiledKernel& k,
-                                  sim::FunctionalSim& machine);
-
 /// Drive an already-initialized machine (freshly constructed or just reset
 /// to the kernel's program) through one run. The building block behind
-/// run_kernel / run_compiled; exposed for harnesses that manage machine
-/// lifetime themselves.
-KernelRun run_kernel_on(cpu::CycleSim& machine, const KernelSpec& spec);
+/// run_kernel; exposed for harnesses that manage machine lifetime
+/// themselves (farm::WorkerMachines resets a reused machine in place, and
+/// the result is bit-identical to run_kernel on a fresh one).
+KernelRun run_kernel_on(soc::Majc5200& machine, const KernelSpec& spec);
 KernelRun run_kernel_on(sim::FunctionalSim& machine, const KernelSpec& spec);
 
 /// Split phases of run_kernel_on for harnesses that slice a run into
@@ -103,10 +93,10 @@ KernelRun run_kernel_on(sim::FunctionalSim& machine, const KernelSpec& spec);
 /// state plus the *last* slice's raw result. A single-slice
 /// setup / run(max) / finalize sequence is bit-identical to
 /// run_kernel_on (tests/test_resilience.cpp pins the sliced case).
-void setup_kernel(cpu::CycleSim& machine, const KernelSpec& spec);
+void setup_kernel(soc::Majc5200& machine, const KernelSpec& spec);
 void setup_kernel(sim::FunctionalSim& machine, const KernelSpec& spec);
-KernelRun finalize_kernel(cpu::CycleSim& machine, const KernelSpec& spec,
-                          const cpu::CycleSim::Result& res);
+KernelRun finalize_kernel(soc::Majc5200& machine, const KernelSpec& spec,
+                          const soc::Majc5200::Result& res);
 KernelRun finalize_kernel(sim::FunctionalSim& machine, const KernelSpec& spec,
                           const sim::RunResult& res);
 

@@ -124,28 +124,14 @@ struct PacketScratch {
   SlotEffects fxn;  // slots 1..3 shared: only `writes` reset/consumed
 };
 
-/// Execute the packet at st.pc (which must equal the packet's address);
-/// commits register writes, performs memory effects and advances st.pc.
-PacketOutcome execute_packet(CpuState& st, const isa::Packet& p, ExecEnv& env);
-
-/// Fast-path variant with the packet's precomputed fall-through address
-/// (from PacketMeta), skipping the per-issue p.bytes() recomputation.
-PacketOutcome execute_packet(CpuState& st, const isa::Packet& p,
-                             Addr fall_through, ExecEnv& env);
-
-/// Hot-loop variant: caller owns the scratch, so per-packet setup is a few
-/// field resets instead of full SlotEffects construction. All three
-/// overloads produce identical architectural effects.
-PacketOutcome execute_packet(CpuState& st, const isa::Packet& p,
-                             Addr fall_through, ExecEnv& env,
-                             PacketScratch& scratch);
-
 struct PacketMeta;
 
-/// Hottest variant: dispatches each slot on the predecoded per-slot op
-/// class (PacketMeta::SlotMeta::cls) instead of re-reading the OpInfo
-/// table, and takes the fall-through address from the meta. Identical
-/// architectural effects to the other overloads.
+/// Execute the packet at st.pc (which must equal the packet's address);
+/// commits register writes, performs memory effects and advances st.pc.
+/// Each slot dispatches on its predecoded op class (PacketMeta::SlotMeta::
+/// cls) and the fall-through address comes from the meta. The caller owns
+/// the scratch and reuses it across packets, so per-packet setup is a few
+/// field resets instead of full SlotEffects construction.
 PacketOutcome execute_packet(CpuState& st, const isa::Packet& p,
                              const PacketMeta& m, ExecEnv& env,
                              PacketScratch& scratch);

@@ -275,17 +275,6 @@ void exec_control(const Instr& in, u32 fu, const CpuState& st, ExecEnv& env,
   }
 }
 
-PacketOutcome execute_packet(CpuState& st, const isa::Packet& p, ExecEnv& env) {
-  PacketScratch scratch;
-  return execute_packet(st, p, st.pc + p.bytes(), env, scratch);
-}
-
-PacketOutcome execute_packet(CpuState& st, const isa::Packet& p,
-                             Addr fall_through, ExecEnv& env) {
-  PacketScratch scratch;
-  return execute_packet(st, p, fall_through, env, scratch);
-}
-
 namespace {
 
 inline void dispatch_slot(const isa::Instr& in, u8 cls, u32 fu, CpuState& st,
@@ -304,15 +293,13 @@ inline void dispatch_slot(const isa::Instr& in, u8 cls, u32 fu, CpuState& st,
   }
 }
 
-/// Shared body of the scratch-based overloads: `cls_of(i)` supplies each
-/// slot's op class (from the OpInfo table or from predecoded metadata).
-template <typename ClsFn>
-inline PacketOutcome execute_packet_body(CpuState& st, const isa::Packet& p,
-                                         Addr fall_through, ExecEnv& env,
-                                         PacketScratch& scratch,
-                                         ClsFn cls_of) {
+} // namespace
+
+PacketOutcome execute_packet(CpuState& st, const isa::Packet& p,
+                             const PacketMeta& m, ExecEnv& env,
+                             PacketScratch& scratch) {
   env.packet_pc = st.pc;
-  env.fall_through = fall_through;
+  env.fall_through = m.fall_through;
 
   // FU0 drives the packet outcome: reset all its consumed fields. The
   // shared slot-1..3 accumulator only contributes register writes (the FU
@@ -331,9 +318,9 @@ inline PacketOutcome execute_packet_body(CpuState& st, const isa::Packet& p,
   SlotEffects& fn = scratch.fxn;
   fn.writes.clear();
 
-  if (p.width != 0) dispatch_slot(p.slot[0], cls_of(0), 0, st, env, f0);
+  if (p.width != 0) dispatch_slot(p.slot[0], m.slot[0].cls, 0, st, env, f0);
   for (u32 i = 1; i < p.width; ++i) {
-    dispatch_slot(p.slot[i], cls_of(i), i, st, env, fn);
+    dispatch_slot(p.slot[i], m.slot[i].cls, i, st, env, fn);
   }
 
   // Commit register writes after all slots have read their operands; fn
@@ -361,24 +348,6 @@ inline PacketOutcome execute_packet_body(CpuState& st, const isa::Packet& p,
   }
   st.pc = out.next_pc;
   return out;
-}
-
-} // namespace
-
-PacketOutcome execute_packet(CpuState& st, const isa::Packet& p,
-                             Addr fall_through, ExecEnv& env,
-                             PacketScratch& scratch) {
-  return execute_packet_body(
-      st, p, fall_through, env, scratch,
-      [&p](u32 i) { return static_cast<u8>(p.slot[i].info().cls); });
-}
-
-PacketOutcome execute_packet(CpuState& st, const isa::Packet& p,
-                             const PacketMeta& m, ExecEnv& env,
-                             PacketScratch& scratch) {
-  return execute_packet_body(
-      st, p, m.fall_through, env, scratch,
-      [&m](u32 i) { return m.slot[i].cls; });
 }
 
 } // namespace majc::sim

@@ -134,6 +134,7 @@ RunResult FunctionalSim::run_interp(u64 max_packets) {
   env.trap_div_zero = trap_div_zero_;
   env.console = &console_;
   env.tick = &packets_run_;
+  PacketScratch scratch;  // reused by every packet of this run
   // Index-based fast path: sequential flow and statically-targeted control
   // transfers follow the predecoded indices; only dynamic transfers (jmpl,
   // or a resumed run) consult the pc -> index map.
@@ -143,7 +144,7 @@ RunResult FunctionalSim::run_interp(u64 max_packets) {
       if (idx == kNoPacketIndex) idx = program_->index_of(state_.pc);
       const isa::Packet& p = program_->packet(idx);
       const PacketMeta& m = program_->meta(idx);
-      const PacketOutcome out = execute_packet(state_, p, m.fall_through, env);
+      const PacketOutcome out = execute_packet(state_, p, m, env, scratch);
       ++res.packets;
       ++packets_run_;
       res.instrs += out.width;

@@ -706,6 +706,7 @@ struct ExecCtx {
   const ThreadedCode& tc;
   CpuState& st;
   ExecEnv& env;
+  PacketScratch& scratch;  // generic-packet fallback's executor storage
   RunResult& res;
   u64& packets_run;
   u64& instrs_run;
@@ -1473,7 +1474,7 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     const isa::Packet& p = cx.prog.packet(pi);
     const PacketMeta& m = cx.prog.meta(pi);
     st.pc = rp->pc;
-    const PacketOutcome out = execute_packet(st, p, m.fall_through, cx.env);
+    const PacketOutcome out = execute_packet(st, p, m, cx.env, cx.scratch);
     cx.res.packets += 1;
     cx.packets_run += 1;
     cx.res.instrs += out.width;
@@ -1524,10 +1525,11 @@ RunResult FunctionalSim::run_threaded(u64 max_packets) {
   env.tick = &packets_run_;
   const std::span<u8> raw = mem_.raw();
   const i64 size = static_cast<i64>(raw.size());
+  PacketScratch scratch;
   ExecCtx cx{*program_,    tc,          state_,   env,
-             res,          packets_run_, instrs_run_, max_packets,
-             raw.data(),   size - 1,    size - 2, size - 4,
-             size - 8,     size - 32};
+             scratch,      res,         packets_run_, instrs_run_,
+             max_packets,  raw.data(),  size - 1,    size - 2,
+             size - 4,     size - 8,    size - 32};
   while (!state_.halted && res.packets < max_packets) {
     try {
       exec_records(cx, tc.entry[program_->index_of(state_.pc)]);

@@ -9,7 +9,6 @@
 #include <fstream>
 #include <vector>
 
-#include "src/cpu/cycle_cpu.h"
 #include "src/masm/image.h"
 #include "src/sim/functional_sim.h"
 #include "src/soc/chip.h"
@@ -99,6 +98,21 @@ void Reader::expect_tag(const char (&tag)[5]) {
     throw Error(std::string("checkpoint: section tag mismatch (expected '") +
                 tag + "', found '" + got + "')");
 }
+
+namespace {
+
+/// `v`, a count or index read from a checkpoint, if it is at most `max`
+/// (the capacity it describes); majc::Error otherwise. Applied before the
+/// value sizes or indexes anything, so a corrupt file cannot drive an
+/// allocation or an out-of-range access.
+u64 bounded(u64 v, u64 max, const char* what) {
+  if (v > max)
+    throw Error(std::string("checkpoint: ") + what + " " + std::to_string(v) +
+                " out of range (at most " + std::to_string(max) + ")");
+  return v;
+}
+
+} // namespace
 
 // -------------------------------------------------------------- fingerprints
 
@@ -407,7 +421,9 @@ void Cache::save(ckpt::Writer& w) const {
 
 void Cache::restore(ckpt::Reader& r) {
   r.expect_tag("CCHE");
-  disabled_ways_ = r.get_u32();
+  disabled_ways_ = static_cast<u32>(
+      ckpt::bounded(r.get_u32(), cfg_.ways > 1 ? cfg_.ways - 1 : 0,
+                    "disabled cache ways"));
   if (r.get_u64() != lines_.size())
     throw Error("checkpoint: cache geometry mismatch (" + cfg_.name + ")");
   for (Line& l : lines_) {
@@ -513,16 +529,21 @@ void Lsu::save(ckpt::Writer& w) const {
 void Lsu::restore(ckpt::Reader& r) {
   r.expect_tag("LSU ");
   fills_ = r.get_u64();
-  loads_.resize(r.get_u64());
+  // Live entries never exceed the configured buffers, except that an atomic
+  // may briefly push the load buffer past capacity (the slack the
+  // constructor reserves).
+  loads_.resize(
+      ckpt::bounded(r.get_u64(), cfg_.load_buffers + 4, "LSU load count"));
   for (Cycle& c : loads_) c = r.get_u64();
-  stores_.resize(r.get_u64());
+  stores_.resize(
+      ckpt::bounded(r.get_u64(), cfg_.store_buffers, "LSU store count"));
   for (StoreEntry& s : stores_) {
     s.addr = r.get_u64();
     s.bytes = r.get_u32();
     s.done = r.get_u64();
   }
   mshr_.clear();
-  const u64 n_mshrs = r.get_u64();
+  const u64 n_mshrs = ckpt::bounded(r.get_u64(), cfg_.mshrs, "MSHR count");
   for (u64 i = 0; i < n_mshrs; ++i) {
     const Addr line = r.get_u64();
     const Cycle done = r.get_u64();
@@ -554,7 +575,8 @@ void EccMemory::save(ckpt::Writer& w) const {
 void EccMemory::restore(ckpt::Reader& r) {
   r.expect_tag("ECC ");
   healed_.clear();
-  const u64 n = r.get_u64();
+  const u64 n =
+      ckpt::bounded(r.get_u64(), r.remaining() / 8, "ECC healed-line count");
   for (u64 i = 0; i < n; ++i) healed_.insert(r.get_u64());
   corrected_ = r.get_u64();
   machine_checks_ = r.get_u64();
@@ -605,7 +627,8 @@ void Scoreboard::save(ckpt::Writer& w) const {
 void Scoreboard::restore(ckpt::Reader& r) {
   for (Entry& e : entries_) {
     e.done = r.get_u64();
-    e.producer = r.get_u8();
+    e.producer = static_cast<u8>(
+        ckpt::bounded(r.get_u8(), kNoProducer, "scoreboard producer"));
   }
 }
 
@@ -652,7 +675,8 @@ void CycleCpu::save(ckpt::Writer& w) const {
 
 void CycleCpu::restore(ckpt::Reader& r) {
   r.expect_tag("CPU ");
-  active_ = r.get_u32();
+  active_ = static_cast<u32>(
+      ckpt::bounded(r.get_u32(), threads_.size() - 1, "active thread"));
   current_cycle_ = r.get_u64();
   now_cache_ = r.get_u64();
   last_progress_ = r.get_u64();
@@ -681,20 +705,6 @@ void CycleCpu::restore(ckpt::Reader& r) {
     th.idx_pc = th.state.pc;
   }
   env_.thread_id = active_;
-}
-
-void CycleSim::save(ckpt::Writer& w) const {
-  save_memory(w, mem_);
-  ms_->save(w);
-  eccmem_->save(w);
-  cpu_->save(w);
-}
-
-void CycleSim::restore(ckpt::Reader& r) {
-  restore_memory(r, mem_);
-  ms_->restore(r);
-  eccmem_->restore(r);
-  cpu_->restore(r);
 }
 
 } // namespace majc::cpu
@@ -746,7 +756,7 @@ void Fifo::restore(ckpt::Reader& r) {
   if (r.get_u32() != capacity_)
     throw Error("checkpoint: FIFO capacity mismatch");
   bytes_.clear();
-  const u64 n = r.get_u64();
+  const u64 n = ckpt::bounded(r.get_u64(), capacity_, "FIFO byte count");
   for (u64 i = 0; i < n; ++i) bytes_.push_back(r.get_u8());
   pushed_ = r.get_u64();
 }
@@ -772,29 +782,31 @@ void Dte::restore(ckpt::Reader& r) {
 }
 
 void Majc5200::save(ckpt::Writer& w) const {
+  const Shared& s = *shared_;
   w.put_tag("CHIP");
   save_memory(w, mem_);
-  ms_.save(w);
-  eccmem_.save(w);
-  for (const auto& cpu : cpus_) cpu->save(w);
-  dte_.save(w);
-  nupa_.save(w);
-  nupa_.fifo().save(w);
-  supa_.save(w);
-  pci_.save(w);
+  s.ms.save(w);
+  s.ecc.save(w);
+  for (u32 c = 0; c < num_cpus_; ++c) cpus_[c]->save(w);
+  s.dte.save(w);
+  s.nupa.save(w);
+  s.nupa.fifo().save(w);
+  s.supa.save(w);
+  s.pci.save(w);
 }
 
 void Majc5200::restore(ckpt::Reader& r) {
+  Shared& s = *shared_;
   r.expect_tag("CHIP");
   restore_memory(r, mem_);
-  ms_.restore(r);
-  eccmem_.restore(r);
-  for (auto& cpu : cpus_) cpu->restore(r);
-  dte_.restore(r);
-  nupa_.restore(r);
-  nupa_.fifo().restore(r);
-  supa_.restore(r);
-  pci_.restore(r);
+  s.ms.restore(r);
+  s.ecc.restore(r);
+  for (u32 c = 0; c < num_cpus_; ++c) cpus_[c]->restore(r);
+  s.dte.restore(r);
+  s.nupa.restore(r);
+  s.nupa.fifo().restore(r);
+  s.supa.restore(r);
+  s.pci.restore(r);
 }
 
 } // namespace majc::soc
@@ -819,17 +831,10 @@ u64 arch_digest(const sim::FunctionalSim& s) {
   return h;
 }
 
-u64 arch_digest(const cpu::CycleSim& s) {
-  u64 h = kFnvOffset;
-  fnv_bytes(h, s.memory().raw());
-  for (u32 t = 0; t < s.cpu().hw_threads(); ++t) fnv_state(h, s.cpu().state(t));
-  return h;
-}
-
 u64 arch_digest(const soc::Majc5200& s) {
   u64 h = kFnvOffset;
   fnv_bytes(h, s.memory().raw());
-  for (u32 c = 0; c < soc::Majc5200::kNumCpus; ++c)
+  for (u32 c = 0; c < s.num_cpus(); ++c)
     for (u32 t = 0; t < s.cpu(c).hw_threads(); ++t)
       fnv_state(h, s.cpu(c).state(t));
   return h;
@@ -842,17 +847,10 @@ std::vector<u8> save_checkpoint(const sim::FunctionalSim& s) {
   return w.take();
 }
 
-std::vector<u8> save_checkpoint(const cpu::CycleSim& s) {
-  Writer w;
-  write_header(w, Mode::kCycle, config_fingerprint(s.memsys().config()),
-               image_hash(s.program().image()));
-  s.save(w);
-  return w.take();
-}
-
 std::vector<u8> save_checkpoint(const soc::Majc5200& s) {
   Writer w;
-  write_header(w, Mode::kChip, config_fingerprint(s.memsys().config()),
+  write_header(w, static_cast<Mode>(s.num_cpus()),
+               config_fingerprint(s.memsys().config()),
                image_hash(s.program().image()));
   s.save(w);
   return w.take();
@@ -864,16 +862,10 @@ void restore_checkpoint(sim::FunctionalSim& s, std::span<const u8> bytes) {
   s.restore(r);
 }
 
-void restore_checkpoint(cpu::CycleSim& s, std::span<const u8> bytes) {
-  Reader r(bytes);
-  check_header(r, Mode::kCycle, config_fingerprint(s.memsys().config()),
-               image_hash(s.program().image()));
-  s.restore(r);
-}
-
 void restore_checkpoint(soc::Majc5200& s, std::span<const u8> bytes) {
   Reader r(bytes);
-  check_header(r, Mode::kChip, config_fingerprint(s.memsys().config()),
+  check_header(r, static_cast<Mode>(s.num_cpus()),
+               config_fingerprint(s.memsys().config()),
                image_hash(s.program().image()));
   s.restore(r);
 }

@@ -9,20 +9,28 @@
 // containers are emitted sorted by key — so saving the same state twice
 // produces byte-identical files.
 //
-// Format (version 1):
+// Format (version 2):
 //
 //   magic   8 bytes   "MAJCCKPT"
 //   version u32       kVersion
-//   mode    u8        Mode (functional / cycle / chip)
+//   mode    u8        Mode: 0 = functional; otherwise the cycle-accurate
+//                     machine's CPU count (1 = "cycle", 2 = "chip")
 //   config  u64       config_fingerprint(TimingConfig) — 0 for functional
 //   image   u64       image_hash(masm::Image)
 //   body              tagged component sections (see checkpoint.cpp)
 //
+// Version 2 is the first format with one cycle-accurate machine
+// (soc::Majc5200, 1 or 2 CPUs): a single-CPU body is the chip body with one
+// CPU section, where version 1 wrote a separate single-CPU layout.
+//
 // Compatibility rule: a checkpoint restores only into a simulator built
 // from the SAME image with the SAME TimingConfig (including FaultConfig)
-// and the same mode; version bumps are never read across. Restore throws
-// majc::Error on any mismatch rather than guessing — resuming under a
-// different configuration would silently produce different timing.
+// and the same mode — for the cycle machine, the same CPU count; version
+// bumps are never read across. Restore throws majc::Error on any mismatch
+// rather than guessing — resuming under a different configuration would
+// silently produce different timing. Every count read from the body is
+// bounded by the capacity it describes (or by the bytes left to read), so
+// a corrupt file also ends in majc::Error, never in an allocation failure.
 #pragma once
 
 #include <span>
@@ -41,9 +49,6 @@ struct Image;
 namespace majc::sim {
 class FunctionalSim;
 }
-namespace majc::cpu {
-class CycleSim;
-}
 namespace majc::soc {
 class Majc5200;
 }
@@ -51,14 +56,14 @@ class Majc5200;
 namespace majc::ckpt {
 
 inline constexpr char kMagic[8] = {'M', 'A', 'J', 'C', 'C', 'K', 'P', 'T'};
-inline constexpr u32 kVersion = 1;
+inline constexpr u32 kVersion = 2;
 
 /// Which simulator wrote the checkpoint. A checkpoint restores only into
-/// the same mode (the three simulators hold different state).
+/// the same mode. The cycle-accurate modes are the machine's CPU count.
 enum class Mode : u8 {
   kFunctional = 0,
-  kCycle = 1,
-  kChip = 2,
+  kCycle = 1,  // soc::Majc5200 with one CPU
+  kChip = 2,   // soc::Majc5200 with two CPUs
 };
 
 constexpr const char* mode_name(Mode m) {
@@ -131,19 +136,19 @@ u64 image_hash(const masm::Image& img);
 /// FNV-1a digest of architectural outcome (memory contents + registers +
 /// pc): two runs that agree here computed the same results. Reported in
 /// majc-stats-v1 so a restored run can be compared against an unbroken one.
+/// The cycle machine hashes only the CPUs it has, so a one-CPU digest
+/// covers exactly one CPU's threads.
 u64 arch_digest(const sim::FunctionalSim& s);
-u64 arch_digest(const cpu::CycleSim& s);
 u64 arch_digest(const soc::Majc5200& s);
 
 /// Serialize the full state of a simulator (header + body).
 std::vector<u8> save_checkpoint(const sim::FunctionalSim& s);
-std::vector<u8> save_checkpoint(const cpu::CycleSim& s);
 std::vector<u8> save_checkpoint(const soc::Majc5200& s);
 
-/// Restore into a freshly constructed simulator (same image, same config,
-/// same mode). Throws majc::Error on any header mismatch or short read.
+/// Restore into a freshly constructed (or reset) simulator (same image,
+/// same config, same mode). Throws majc::Error on any header mismatch,
+/// short read or out-of-range count.
 void restore_checkpoint(sim::FunctionalSim& s, std::span<const u8> bytes);
-void restore_checkpoint(cpu::CycleSim& s, std::span<const u8> bytes);
 void restore_checkpoint(soc::Majc5200& s, std::span<const u8> bytes);
 
 /// Mode recorded in a checkpoint header (validates magic + version only).

@@ -4,7 +4,7 @@
 // In this model, guest-visible faults (misaligned or out-of-bounds accesses,
 // illegal instructions/packets, divide-by-zero when enabled, ECC machine
 // checks) raise a TrapException at the faulting operation; the run loops of
-// FunctionalSim, CycleSim and Majc5200 catch it, fill in the architectural
+// FunctionalSim and Majc5200 catch it, fill in the architectural
 // context (cpu / pc / cycle) and surface a structured TerminationReason
 // instead of letting a host C++ exception escape. Host-side API misuse and
 // model bugs continue to throw plain majc::Error.

@@ -112,59 +112,40 @@ void write_mem(JsonWriter& j, mem::MemorySystem& ms) {
 
 } // namespace
 
-void write_stats_json(std::ostream& os, cpu::CycleSim& sim,
-                      const cpu::CycleSim::Result& res) {
+void write_stats_json(std::ostream& os, soc::Majc5200& m,
+                      const soc::Majc5200::Result& res) {
+  // A one-CPU machine reports as mode "cycle" (with IPC), a two-CPU one as
+  // "chip" (with the DTE) — the same names its checkpoints carry.
+  const bool single = m.num_cpus() == 1;
   JsonWriter j(os);
   j.begin_object();
   j.kv("schema", kStatsSchema);
-  j.kv("mode", "cycle");
+  j.kv("mode", ckpt::mode_name(static_cast<ckpt::Mode>(m.num_cpus())));
   j.key("run").begin_object();
   j.kv("cycles", res.cycles);
   j.kv("packets", res.packets);
   j.kv("instrs", res.instrs);
-  j.kv("ipc", res.ipc());
+  if (single) j.kv("ipc", res.ipc());
   j.kv("halted", res.halted);
   j.kv("reason", termination_reason_name(res.reason));
   if (res.reason == TerminationReason::kTrap) write_trap(j, res.trap);
-  j.kv("arch_digest", hex_u64(ckpt::arch_digest(sim)));
+  j.kv("arch_digest", hex_u64(ckpt::arch_digest(m)));
   j.end_object();
   j.key("cpus").begin_array();
-  write_cpu(j, sim.cpu(), sim.memsys(), 0);
-  j.end_array();
-  write_mem(j, sim.memsys());
-  write_ras(j, sim.ecc(), sim.memsys(), sim.cpu().stats().traps_delivered);
-  j.end_object();
-  os << "\n";
-}
-
-void write_stats_json(std::ostream& os, soc::Majc5200& chip,
-                      const soc::Majc5200::Result& res) {
-  JsonWriter j(os);
-  j.begin_object();
-  j.kv("schema", kStatsSchema);
-  j.kv("mode", "chip");
-  j.key("run").begin_object();
-  j.kv("cycles", res.cycles);
-  j.kv("packets", res.packets[0] + res.packets[1]);
-  j.kv("instrs", res.instrs[0] + res.instrs[1]);
-  j.kv("halted", res.all_halted);
-  j.kv("reason", termination_reason_name(res.reason));
-  if (res.reason == TerminationReason::kTrap) write_trap(j, res.trap);
-  j.kv("arch_digest", hex_u64(ckpt::arch_digest(chip)));
-  j.end_object();
-  j.key("cpus").begin_array();
-  for (u32 i = 0; i < soc::Majc5200::kNumCpus; ++i) {
-    write_cpu(j, chip.cpu(i), chip.memsys(), i);
+  u64 traps_delivered = 0;
+  for (u32 i = 0; i < m.num_cpus(); ++i) {
+    write_cpu(j, m.cpu(i), m.memsys(), i);
+    traps_delivered += m.cpu(i).stats().traps_delivered;
   }
   j.end_array();
-  write_mem(j, chip.memsys());
-  write_ras(j, chip.ecc(), chip.memsys(),
-            chip.cpu(0).stats().traps_delivered +
-                chip.cpu(1).stats().traps_delivered);
-  j.key("dte").begin_object();
-  j.kv("descriptors", chip.dte().descriptors_run());
-  j.kv("bytes_moved", chip.dte().bytes_moved());
-  j.end_object();
+  write_mem(j, m.memsys());
+  write_ras(j, m.ecc(), m.memsys(), traps_delivered);
+  if (!single) {
+    j.key("dte").begin_object();
+    j.kv("descriptors", m.dte().descriptors_run());
+    j.kv("bytes_moved", m.dte().bytes_moved());
+    j.end_object();
+  }
   j.end_object();
   os << "\n";
 }

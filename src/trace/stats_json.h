@@ -1,15 +1,15 @@
 // Machine-readable run statistics ("--stats-json").
 //
-// One schema ("majc-stats-v1") across the single-CPU cycle simulator, the
-// full SoC, and the instruction-accurate simulator, so downstream tooling
-// (plots, CI dashboards, regression diffs) parses every run mode the same
-// way. Counter names match the human-readable performance report exactly —
-// both views render the same CounterSet aggregates.
+// One schema ("majc-stats-v1") across the cycle-accurate machine (one CPU
+// or the full two-CPU SoC) and the instruction-accurate simulator, so
+// downstream tooling (plots, CI dashboards, regression diffs) parses every
+// run mode the same way. Counter names match the human-readable
+// performance report exactly — both views render the same CounterSet
+// aggregates.
 #pragma once
 
 #include <ostream>
 
-#include "src/cpu/cycle_cpu.h"
 #include "src/sim/functional_sim.h"
 #include "src/soc/chip.h"
 
@@ -17,12 +17,8 @@ namespace majc::trace {
 
 inline constexpr const char* kStatsSchema = "majc-stats-v1";
 
-/// Single-CPU cycle-accurate run.
-void write_stats_json(std::ostream& os, cpu::CycleSim& sim,
-                      const cpu::CycleSim::Result& res);
-
-/// Full dual-CPU SoC run.
-void write_stats_json(std::ostream& os, soc::Majc5200& chip,
+/// Cycle-accurate run, one or two CPUs.
+void write_stats_json(std::ostream& os, soc::Majc5200& m,
                       const soc::Majc5200::Result& res);
 
 /// Instruction-accurate run (no timing: packet/instruction counts only).

@@ -99,3 +99,23 @@ foreach(mode_flag IN ITEMS "" "-f" "-2")
   endif()
   message(STATUS "${tag}: restored run byte-identical to unbroken run")
 endforeach()
+
+# Negative legs: a checkpoint records the machine's CPU count, so a -2
+# checkpoint must not restore into a single-CPU run, nor the reverse. Each
+# refusal is a usage error (exit 2) naming the mismatch.
+function(expect_refused from)
+  execute_process(
+    COMMAND "${MAJC_RUN}" ${ARGN} "--restore=${WORK_DIR}/${from}.ckpt"
+            "${WORK_DIR}/prog.s"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "mismatch")
+    message(FATAL_ERROR "restoring the ${from} checkpoint with '${ARGN}' must "
+                        "exit 2 with a mismatch error (rc=${rc}):\n${err}")
+  endif()
+  message(STATUS "${from} checkpoint refused with '${ARGN}': ${err}")
+endfunction()
+
+expect_refused(chip)
+expect_refused(cycle -2)

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/cpu/branch_predictor.h"
-#include "src/cpu/cycle_cpu.h"
+#include "src/soc/chip.h"
 #include "src/masm/assembler.h"
 #include "src/support/error.h"
 
@@ -111,11 +111,11 @@ lp:
   halt
 )";
 
-cpu::CycleSim::Result run(bool bpred_on, cpu::CpuStats& stats_out) {
+soc::Majc5200::Result run(bool bpred_on, cpu::CpuStats& stats_out) {
   TimingConfig cfg;
   cfg.perfect_icache = true;
   cfg.bpred_enabled = bpred_on;
-  cpu::CycleSim sim(masm::assemble_or_throw(kBiasedLoop), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(kBiasedLoop), 1, cfg);
   const auto res = sim.run();
   stats_out = sim.cpu().stats();
   return res;
@@ -152,7 +152,7 @@ TEST(BranchPredictorTiming, PredictorAccuracyIsVisibleThroughTheCpu) {
   cpu::CpuStats stats;
   TimingConfig cfg;
   cfg.perfect_icache = true;
-  cpu::CycleSim sim(masm::assemble_or_throw(timing::kBiasedLoop), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(timing::kBiasedLoop), 1, cfg);
   ASSERT_TRUE(sim.run().halted);
   // 200 conditional executions, 199 taken.
   EXPECT_EQ(sim.cpu().stats().cond_branches, 200u);

@@ -4,11 +4,15 @@
 // in all three modes, including under fault injection.
 #include <gtest/gtest.h>
 
-#include "src/cpu/cycle_cpu.h"
+#include <algorithm>
+#include <cstring>
+#include <exception>
+
 #include "src/masm/assembler.h"
 #include "src/sim/functional_sim.h"
 #include "src/soc/chip.h"
 #include "src/support/checkpoint.h"
+#include "src/support/rng.h"
 
 namespace majc {
 namespace {
@@ -97,7 +101,7 @@ TEST(Ckpt, HeaderRejectsWrongMode) {
   const auto bytes = ckpt::save_checkpoint(fsim);
   EXPECT_EQ(ckpt::peek_mode(bytes), ckpt::Mode::kFunctional);
 
-  cpu::CycleSim csim(assemble_or_throw(kLoopProg));
+  soc::Majc5200 csim(assemble_or_throw(kLoopProg), 1);
   EXPECT_THROW(ckpt::restore_checkpoint(csim, bytes), Error);
 }
 
@@ -123,17 +127,17 @@ TEST(Ckpt, HeaderRejectsDifferentImage) {
 }
 
 TEST(Ckpt, HeaderRejectsDifferentTimingConfig) {
-  cpu::CycleSim a(assemble_or_throw(kLoopProg));
+  soc::Majc5200 a(assemble_or_throw(kLoopProg), 1);
   const auto bytes = ckpt::save_checkpoint(a);
 
   TimingConfig other;
   other.faults.fill_parity_rate = 0.25;  // any field counts
-  cpu::CycleSim b(assemble_or_throw(kLoopProg), other);
+  soc::Majc5200 b(assemble_or_throw(kLoopProg), 1, other);
   EXPECT_THROW(ckpt::restore_checkpoint(b, bytes), Error);
 }
 
 TEST(Ckpt, SavingTwiceIsByteIdentical) {
-  cpu::CycleSim sim(assemble_or_throw(kLoopProg));
+  soc::Majc5200 sim(assemble_or_throw(kLoopProg), 1);
   sim.run(200);
   EXPECT_EQ(ckpt::save_checkpoint(sim), ckpt::save_checkpoint(sim));
 }
@@ -160,16 +164,16 @@ TEST(Ckpt, FunctionalSplitRunMatchesUnbrokenRun) {
 }
 
 TEST(Ckpt, CycleSplitRunMatchesUnbrokenRun) {
-  cpu::CycleSim golden(assemble_or_throw(kLoopProg));
+  soc::Majc5200 golden(assemble_or_throw(kLoopProg), 1);
   const auto gres = golden.run();
   ASSERT_EQ(gres.reason, TerminationReason::kHalted);
 
-  cpu::CycleSim first(assemble_or_throw(kLoopProg));
+  soc::Majc5200 first(assemble_or_throw(kLoopProg), 1);
   const auto part = first.run(400);  // absolute packet cap: mid-run
   ASSERT_EQ(part.reason, TerminationReason::kPacketCap);
   const auto bytes = ckpt::save_checkpoint(first);
 
-  cpu::CycleSim second(assemble_or_throw(kLoopProg));
+  soc::Majc5200 second(assemble_or_throw(kLoopProg), 1);
   ckpt::restore_checkpoint(second, bytes);
   const auto res = second.run();
   EXPECT_EQ(res.reason, TerminationReason::kHalted);
@@ -191,15 +195,15 @@ TEST(Ckpt, CycleSplitRunUnderFaultInjectionStaysIdentical) {
   cfg.faults.xbar_delay_rate = 0.1;
   cfg.faults.xbar_drop_rate = 0.02;
 
-  cpu::CycleSim golden(assemble_or_throw(kLoopProg), cfg);
+  soc::Majc5200 golden(assemble_or_throw(kLoopProg), 1, cfg);
   const auto gres = golden.run();
   ASSERT_EQ(gres.reason, TerminationReason::kHalted);
 
-  cpu::CycleSim first(assemble_or_throw(kLoopProg), cfg);
+  soc::Majc5200 first(assemble_or_throw(kLoopProg), 1, cfg);
   first.run(400);
   const auto bytes = ckpt::save_checkpoint(first);
 
-  cpu::CycleSim second(assemble_or_throw(kLoopProg), cfg);
+  soc::Majc5200 second(assemble_or_throw(kLoopProg), 1, cfg);
   ckpt::restore_checkpoint(second, bytes);
   const auto res = second.run();
   EXPECT_EQ(res.reason, TerminationReason::kHalted);
@@ -238,21 +242,21 @@ TEST(Ckpt, ChipSplitRunMatchesUnbrokenRun) {
       bnz g5, fill
       halt
   )";
-  soc::Majc5200 golden(assemble_or_throw(kDual));
+  soc::Majc5200 golden(assemble_or_throw(kDual), 2);
   const auto gres = golden.run();
-  ASSERT_TRUE(gres.all_halted);
+  ASSERT_TRUE(gres.halted);
 
-  soc::Majc5200 first(assemble_or_throw(kDual));
+  soc::Majc5200 first(assemble_or_throw(kDual), 2);
   first.run(300);
   const auto bytes = ckpt::save_checkpoint(first);
 
-  soc::Majc5200 second(assemble_or_throw(kDual));
+  soc::Majc5200 second(assemble_or_throw(kDual), 2);
   ckpt::restore_checkpoint(second, bytes);
   const auto res = second.run();
-  EXPECT_TRUE(res.all_halted);
+  EXPECT_TRUE(res.halted);
   EXPECT_EQ(res.cycles, gres.cycles);
-  EXPECT_EQ(res.packets[0], gres.packets[0]);
-  EXPECT_EQ(res.packets[1], gres.packets[1]);
+  EXPECT_EQ(second.cpu(0).stats().packets, golden.cpu(0).stats().packets);
+  EXPECT_EQ(second.cpu(1).stats().packets, golden.cpu(1).stats().packets);
   EXPECT_EQ(ckpt::arch_digest(second), ckpt::arch_digest(golden));
 }
 
@@ -273,15 +277,15 @@ TEST(Ckpt, RestoredTrapStateSurvives) {
       mftr g7, 2
       rett g7
   )";
-  cpu::CycleSim golden(assemble_or_throw(kTrapProg));
+  soc::Majc5200 golden(assemble_or_throw(kTrapProg), 1);
   const auto gres = golden.run();
   ASSERT_EQ(gres.reason, TerminationReason::kHalted);
 
-  cpu::CycleSim first(assemble_or_throw(kTrapProg));
+  soc::Majc5200 first(assemble_or_throw(kTrapProg), 1);
   first.run(5);  // inside or just past trap delivery
   const auto bytes = ckpt::save_checkpoint(first);
 
-  cpu::CycleSim second(assemble_or_throw(kTrapProg));
+  soc::Majc5200 second(assemble_or_throw(kTrapProg), 1);
   ckpt::restore_checkpoint(second, bytes);
   const auto res = second.run();
   EXPECT_EQ(res.reason, TerminationReason::kHalted);
@@ -289,6 +293,96 @@ TEST(Ckpt, RestoredTrapStateSurvives) {
   EXPECT_EQ(second.cpu().state().read(5), golden.cpu().state().read(5));
   EXPECT_EQ(second.cpu().state().read(9), 77u);
   EXPECT_EQ(ckpt::arch_digest(second), ckpt::arch_digest(golden));
+}
+
+// ------------------------------------------------- hostile checkpoint bytes
+
+// A small arena keeps the many restores below cheap; the programs' code
+// and data sit well inside it.
+constexpr std::size_t kSmallArena = 2u << 20;
+
+/// A mid-run checkpoint of kLoopProg on a `cpus`-CPU machine.
+std::vector<u8> mid_run_checkpoint(u32 cpus) {
+  soc::Majc5200 m(assemble_or_throw(kLoopProg), cpus, TimingConfig{},
+                  kSmallArena);
+  m.run(400);
+  return ckpt::save_checkpoint(m);
+}
+
+/// Offset of the first byte after section tag `tag` (the tag must occur).
+std::size_t after_tag(const std::vector<u8>& bytes, const char (&tag)[5]) {
+  const auto it = std::search(bytes.begin(), bytes.end(), tag, tag + 4);
+  EXPECT_NE(it, bytes.end()) << tag;
+  return static_cast<std::size_t>(it - bytes.begin()) + 4;
+}
+
+TEST(Ckpt, OversizedCountsAreErrors) {
+  // A count that exceeds its container's capacity is a format error, never
+  // an allocation: the LSU load count (after the fill counter), the ECC
+  // healed-line count and the NUPA FIFO byte count (after its capacity).
+  for (u32 cpus : {1u, 2u}) {
+    SCOPED_TRACE(cpus);
+    const std::vector<u8> good = mid_run_checkpoint(cpus);
+    soc::Majc5200 m(assemble_or_throw(kLoopProg), cpus, TimingConfig{},
+                    kSmallArena);
+    const std::pair<const char*, std::size_t> fields[] = {
+        {"LSU ", after_tag(good, "LSU ") + 8},
+        {"ECC ", after_tag(good, "ECC ")},
+        {"FIFO", after_tag(good, "FIFO") + 4},
+    };
+    for (const auto& [name, off] : fields) {
+      SCOPED_TRACE(name);
+      std::vector<u8> bad = good;
+      std::memset(bad.data() + off, 0xff, 8);
+      m.reset(nullptr, TimingConfig{});
+      EXPECT_THROW(ckpt::restore_checkpoint(m, bad), Error);
+    }
+    m.reset(nullptr, TimingConfig{});
+    EXPECT_NO_THROW(ckpt::restore_checkpoint(m, good));
+  }
+}
+
+TEST(Ckpt, MutatedCheckpointsRestoreOrThrowError) {
+  // Seeded truncations and byte mutations of a cycle and a chip
+  // checkpoint: every restore must either succeed or throw majc::Error —
+  // no other exception (bad_alloc, length_error, ...) may escape.
+  for (u32 cpus : {1u, 2u}) {
+    SCOPED_TRACE(cpus);
+    const std::vector<u8> good = mid_run_checkpoint(cpus);
+    soc::Majc5200 m(assemble_or_throw(kLoopProg), cpus, TimingConfig{},
+                    kSmallArena);
+    SplitMix64 rng(0xc0ffee + cpus);
+    u32 errors = 0;
+    for (u32 trial = 0; trial < 600; ++trial) {
+      std::vector<u8> bad = good;
+      if (trial % 3 == 0) {
+        bad.resize(rng.next_below(static_cast<u32>(good.size())));
+      } else {
+        // 1-4 mutations past the header: a flipped byte, or a stomped u64
+        // that turns whatever field it covers into a huge value.
+        const u32 n = 1 + rng.next_below(4);
+        for (u32 k = 0; k < n; ++k) {
+          const std::size_t off =
+              29 + rng.next_below(static_cast<u32>(good.size() - 37));
+          if (rng.next_below(2) == 0) {
+            bad[off] ^= static_cast<u8>(1 + rng.next_below(255));
+          } else {
+            std::memset(bad.data() + off, 0xff, 8);
+          }
+        }
+      }
+      m.reset(nullptr, TimingConfig{});
+      try {
+        ckpt::restore_checkpoint(m, bad);
+      } catch (const Error&) {
+        ++errors;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "trial " << trial << ": non-majc exception "
+                      << e.what();
+      }
+    }
+    EXPECT_GT(errors, 200u);  // truncations alone fail 200 times
+  }
 }
 
 } // namespace

@@ -32,14 +32,14 @@ TEST(Chip, BothCpusRunAndHaltViaGetcpuDispatch) {
     stwi g3, g4, 0
     halt
   )";
-  Majc5200 chip(assemble_or_throw(src));
+  Majc5200 chip(assemble_or_throw(src), 2);
   const auto res = chip.run();
-  EXPECT_TRUE(res.all_halted);
+  EXPECT_TRUE(res.halted);
   const auto& img = chip.program().image();
   EXPECT_EQ(chip.memory().read_u32(img.symbol("out0")), 111u);
   EXPECT_EQ(chip.memory().read_u32(img.symbol("out1")), 222u);
-  EXPECT_GT(res.packets[0], 0u);
-  EXPECT_GT(res.packets[1], 0u);
+  EXPECT_GT(chip.cpu(0).stats().packets, 0u);
+  EXPECT_GT(chip.cpu(1).stats().packets, 0u);
 }
 
 TEST(Chip, ProducerConsumerThroughSharedDcache) {
@@ -75,9 +75,9 @@ TEST(Chip, ProducerConsumerThroughSharedDcache) {
     stwi g6, g12, 0
     halt
   )";
-  Majc5200 chip(assemble_or_throw(src));
+  Majc5200 chip(assemble_or_throw(src), 2);
   const auto res = chip.run(/*max_packets_per_cpu=*/200000);
-  EXPECT_TRUE(res.all_halted);
+  EXPECT_TRUE(res.halted);
   EXPECT_EQ(chip.memory().read_u32(chip.program().image().symbol("seen")),
             4242u);
 }
@@ -108,9 +108,9 @@ TEST(Chip, SwapSpinlockSerializesBothCpus) {
     bnz g14, round
     halt
   )";
-  Majc5200 chip(assemble_or_throw(src));
+  Majc5200 chip(assemble_or_throw(src), 2);
   const auto res = chip.run(/*max_packets_per_cpu=*/2000000);
-  EXPECT_TRUE(res.all_halted);
+  EXPECT_TRUE(res.halted);
   EXPECT_EQ(chip.memory().read_u32(chip.program().image().symbol("counter")),
             100u);
 }
@@ -136,9 +136,9 @@ TEST(Chip, CasLoopAccumulatesWithoutLostUpdates) {
     bnz g14, round
     halt
   )";
-  Majc5200 chip(assemble_or_throw(src));
+  Majc5200 chip(assemble_or_throw(src), 2);
   const auto res = chip.run(/*max_packets_per_cpu=*/2000000);
-  EXPECT_TRUE(res.all_halted);
+  EXPECT_TRUE(res.halted);
   EXPECT_EQ(chip.memory().read_u32(chip.program().image().symbol("counter")),
             80u);
 }
@@ -161,7 +161,7 @@ TEST(Chip, SeparateEntriesPerCpu) {
     stwi g3, g4, 4
     halt
   )";
-  Majc5200 chip(assemble_or_throw(src));
+  Majc5200 chip(assemble_or_throw(src), 2);
   chip.set_entry(0, "main0");
   chip.set_entry(1, "main1");
   chip.run();
@@ -171,7 +171,7 @@ TEST(Chip, SeparateEntriesPerCpu) {
 }
 
 TEST(Chip, DteCopiesDataAndTakesTime) {
-  Majc5200 chip(assemble_or_throw("halt\n"));
+  Majc5200 chip(assemble_or_throw("halt\n"), 2);
   auto& mem = chip.memory();
   const Addr src = 0x20000, dst = 0x30000;
   for (u32 i = 0; i < 1024; i += 4) mem.write_u32(src + i, i * 3 + 1);
@@ -186,7 +186,7 @@ TEST(Chip, DteCopiesDataAndTakesTime) {
 TEST(Chip, DteInvalidatesStaleCachedLines) {
   // Warm a line into the D$ via a CPU-less access path: touch through the
   // LSU, then DMA over it; the cache copy must be invalidated.
-  Majc5200 chip(assemble_or_throw("halt\n"));
+  Majc5200 chip(assemble_or_throw("halt\n"), 2);
   auto& dcache = chip.memsys().dcache();
   const Addr dst = 0x40000;
   dcache.access(dst, /*is_store=*/false);  // simulate a cached copy
@@ -198,7 +198,7 @@ TEST(Chip, DteInvalidatesStaleCachedLines) {
 }
 
 TEST(Chip, NupaFifoPushPop) {
-  Majc5200 chip(assemble_or_throw("halt\n"));
+  Majc5200 chip(assemble_or_throw("halt\n"), 2);
   auto& nupa = chip.nupa();
   std::vector<u8> data(256);
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<u8>(i);
@@ -211,7 +211,7 @@ TEST(Chip, NupaFifoPushPop) {
 }
 
 TEST(Chip, NupaFifoOverflowIsAFault) {
-  Majc5200 chip(assemble_or_throw("halt\n"));
+  Majc5200 chip(assemble_or_throw("halt\n"), 2);
   std::vector<u8> data(4096);
   chip.nupa().push_fifo(data, 0);
   std::vector<u8> more(1);
@@ -219,7 +219,7 @@ TEST(Chip, NupaFifoOverflowIsAFault) {
 }
 
 TEST(Chip, PciBandwidthIsBoundedAt264MBps) {
-  Majc5200 chip(assemble_or_throw("halt\n"));
+  Majc5200 chip(assemble_or_throw("halt\n"), 2);
   const u32 bytes = 1 << 20;
   const Cycle done = chip.pci().stream(bytes, /*inbound=*/true, 0);
   // 264 MB/s at 500 MHz = 0.528 B/cycle; 1 MiB needs >= ~1.98M cycles.
@@ -230,7 +230,7 @@ TEST(Chip, PciBandwidthIsBoundedAt264MBps) {
 }
 
 TEST(Chip, UpaBandwidthApproaches2GBps) {
-  Majc5200 chip(assemble_or_throw("halt\n"));
+  Majc5200 chip(assemble_or_throw("halt\n"), 2);
   const u32 bytes = 1 << 20;
   const Cycle done = chip.supa().stream(bytes, /*inbound=*/false, 0);
   const double gbps = static_cast<double>(bytes) / static_cast<double>(done) *
@@ -241,7 +241,7 @@ TEST(Chip, UpaBandwidthApproaches2GBps) {
 }
 
 TEST(Chip, DmaInLandsDataInMemory) {
-  Majc5200 chip(assemble_or_throw("halt\n"));
+  Majc5200 chip(assemble_or_throw("halt\n"), 2);
   std::vector<u8> frame(512);
   for (std::size_t i = 0; i < frame.size(); ++i) frame[i] = static_cast<u8>(i ^ 0x5A);
   const Cycle done = chip.nupa().dma_in(0x60000, frame, 100);

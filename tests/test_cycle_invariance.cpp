@@ -12,7 +12,6 @@
 // numbers and say so in the commit; an unexplained diff here is a bug.
 #include <gtest/gtest.h>
 
-#include "src/cpu/cycle_cpu.h"
 #include "src/kernels/biquad.h"
 #include "src/kernels/bitrev.h"
 #include "src/kernels/cfir.h"
@@ -158,7 +157,7 @@ constexpr const char* kSpinProgram = R"(
 TEST(CycleInvariance, WatchdogFiresAtPinnedCycle) {
   TimingConfig cfg;
   cfg.watchdog_cycles = 5000;
-  cpu::CycleSim sim(masm::assemble_or_throw(kSpinProgram), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(kSpinProgram), 1, cfg);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kWatchdog);
   EXPECT_EQ(res.cycles, 5047u);
@@ -168,12 +167,12 @@ TEST(CycleInvariance, WatchdogFiresAtPinnedCycle) {
 TEST(CycleInvariance, ChipWatchdogFiresAtPinnedCycle) {
   TimingConfig cfg;
   cfg.watchdog_cycles = 5000;
-  soc::Majc5200 chip(masm::assemble_or_throw(kSpinProgram), cfg);
+  soc::Majc5200 chip(masm::assemble_or_throw(kSpinProgram), 2, cfg);
   const auto res = chip.run();
   EXPECT_EQ(res.reason, TerminationReason::kWatchdog);
   EXPECT_EQ(res.cycles, 5066u);
-  EXPECT_EQ(res.packets[0], 3370u);
-  EXPECT_EQ(res.packets[1], 3336u);
+  EXPECT_EQ(chip.cpu(0).stats().packets, 3370u);
+  EXPECT_EQ(chip.cpu(1).stats().packets, 3336u);
 }
 
 TEST(CycleInvariance, DualCpuChipGolden) {
@@ -198,13 +197,13 @@ TEST(CycleInvariance, DualCpuChipGolden) {
       membar
       halt
   )";
-  soc::Majc5200 chip(masm::assemble_or_throw(kDual));
+  soc::Majc5200 chip(masm::assemble_or_throw(kDual), 2);
   const auto res = chip.run();
   EXPECT_EQ(res.reason, TerminationReason::kHalted);
-  EXPECT_TRUE(res.all_halted);
+  EXPECT_TRUE(res.halted);
   EXPECT_EQ(res.cycles, 429u);
-  EXPECT_EQ(res.packets[0], 309u);
-  EXPECT_EQ(res.packets[1], 309u);
+  EXPECT_EQ(chip.cpu(0).stats().packets, 309u);
+  EXPECT_EQ(chip.cpu(1).stats().packets, 309u);
   EXPECT_EQ(ckpt::arch_digest(chip), 0x95eb9091437068deull);
 }
 
@@ -216,10 +215,10 @@ TEST(CycleInvariance, DualCpuChipGolden) {
 TEST(CycleInvariance, TracedPathMatchesFastPath) {
   const kernels::KernelSpec spec = kernels::make_mb_decode_spec();
 
-  cpu::CycleSim fast(masm::assemble_or_throw(spec.source));
+  soc::Majc5200 fast(masm::assemble_or_throw(spec.source), 1);
   const auto rf = fast.run();
 
-  cpu::CycleSim traced(masm::assemble_or_throw(spec.source));
+  soc::Majc5200 traced(masm::assemble_or_throw(spec.source), 1);
   u64 events = 0;
   traced.cpu().set_trace([&events](const cpu::TraceEvent&) { ++events; });
   const auto rt = traced.run();

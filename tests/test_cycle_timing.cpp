@@ -2,7 +2,7 @@
 // and bypass rule the paper documents is asserted here (Fig. 2 / §3.2 / §4).
 #include <gtest/gtest.h>
 
-#include "src/cpu/cycle_cpu.h"
+#include "src/soc/chip.h"
 #include "src/masm/assembler.h"
 
 namespace majc {
@@ -15,7 +15,7 @@ TimingConfig ideal_config() {
 }
 
 Cycle run_cycles(const char* src, const TimingConfig& cfg = ideal_config()) {
-  cpu::CycleSim sim(masm::assemble_or_throw(src), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(src), 1, cfg);
   const auto res = sim.run();
   EXPECT_TRUE(res.halted);
   return res.cycles;
@@ -145,7 +145,7 @@ TEST(CycleTiming, GshareLearnsALoop) {
     bnz g3, loop
     halt
   )";
-  cpu::CycleSim sim(masm::assemble_or_throw(src), ideal_config());
+  soc::Majc5200 sim(masm::assemble_or_throw(src), 1, ideal_config());
   sim.run();
   const auto& st = sim.cpu().stats();
   EXPECT_EQ(st.cond_branches, 100u);
@@ -163,7 +163,7 @@ TEST(CycleTiming, StaticPredictionAblationMispredictsEveryTakenBranch) {
     bnz g3, loop
     halt
   )";
-  cpu::CycleSim sim(masm::assemble_or_throw(src), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(src), 1, cfg);
   sim.run();
   EXPECT_EQ(sim.cpu().stats().mispredicts, 49u);  // taken 49x, not-taken 1x
 }
@@ -174,7 +174,7 @@ TEST(CycleTiming, ColdIcacheAddsFetchLatency) {
   const Cycle c = run_cycles(src, cold);
   // Both packets sit in one 32-byte line: exactly one miss.
   EXPECT_GT(c, 3u);
-  cpu::CycleSim sim(masm::assemble_or_throw(src), cold);
+  soc::Majc5200 sim(masm::assemble_or_throw(src), 1, cold);
   sim.run();
   EXPECT_EQ(sim.memsys().icache(0).misses(), 1u);
 }
@@ -187,7 +187,7 @@ TEST(CycleTiming, DcacheMissThenHitOnSameLine) {
     ldwi g5, g3, 4      # same line: hit
     halt
   )";
-  cpu::CycleSim sim(masm::assemble_or_throw(src), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(src), 1, cfg);
   sim.run();
   EXPECT_EQ(sim.memsys().dcache().misses(), 1u);
   EXPECT_EQ(sim.memsys().dcache().hits(), 1u);
@@ -248,7 +248,7 @@ TEST(CycleTiming, StoreToLoadForwarding) {
     add g6, g5, g5
     halt
   )";
-  cpu::CycleSim sim(masm::assemble_or_throw(src), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(src), 1, cfg);
   const auto res = sim.run();
   EXPECT_TRUE(res.halted);
   EXPECT_EQ(sim.cpu().state().read(6), 154u);
@@ -299,9 +299,9 @@ TEST(CycleTiming, ForwardedLoadDeliversOneCycleAfterIssue) {
       (pre + "ldwi g5, g3, 0\nadd g6, g4, g4\nhalt\n").c_str(), cfg);
   EXPECT_EQ(dep, indep);
 
-  cpu::CycleSim sim(
-      masm::assemble_or_throw((pre + "ldwi g5, g3, 0\nadd g6, g5, g5\nhalt\n").c_str()),
-      cfg);
+  soc::Majc5200 sim(
+      masm::assemble_or_throw(pre + "ldwi g5, g3, 0\nadd g6, g5, g5\nhalt\n"),
+      1, cfg);
   sim.run();
   const auto c = sim.memsys().lsu(0).counters();
   EXPECT_EQ(c.get("store_forwards"), 1u);
@@ -321,8 +321,8 @@ TEST(CycleTiming, MissMergeAttachesSecondLoadToInFlightFill) {
       run_cycles((pre + "add g6, g4, g4\nhalt\n").c_str(), cfg);
   EXPECT_EQ(dep_second, dep_first);
 
-  cpu::CycleSim sim(
-      masm::assemble_or_throw((pre + "add g6, g5, g5\nhalt\n").c_str()), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(pre + "add g6, g5, g5\nhalt\n"), 1,
+                    cfg);
   sim.run();
   const auto c = sim.memsys().lsu(0).counters();
   EXPECT_EQ(c.get("load_misses"), 1u);
@@ -345,7 +345,7 @@ TEST(CycleTiming, WriteCombiningStoresRetireInOneCycle) {
                           "add g6, g3, g4\nadd g6, g5, g4\nhalt\n";
   EXPECT_EQ(run_cycles(wc.c_str(), cfg), run_cycles(alu.c_str(), cfg));
 
-  cpu::CycleSim sim(masm::assemble_or_throw(wc.c_str()), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(wc.c_str()), 1, cfg);
   sim.run();
   const auto c = sim.memsys().lsu(0).counters();
   EXPECT_EQ(c.get("wc_stores"), 4u);
@@ -378,9 +378,8 @@ TEST(CycleTiming, MembarDrainsExactlyToOutstandingCompletion) {
                   "stwi g4, g3, 0\nmembar\nnop\n"),
             0);
 
-  cpu::CycleSim sim(
-      masm::assemble_or_throw((pre + "stwi g4, g3, 0\nmembar\nhalt\n").c_str()),
-      cfg);
+  soc::Majc5200 sim(
+      masm::assemble_or_throw(pre + "stwi g4, g3, 0\nmembar\nhalt\n"), 1, cfg);
   sim.run();
   EXPECT_EQ(sim.memsys().lsu(0).counters().get("membars"), 1u);
 }
@@ -397,7 +396,7 @@ TEST(CycleTiming, CycleAndFunctionalSimsAgreeOnResults) {
   )";
   sim::FunctionalSim fsim(masm::assemble_or_throw(src));
   fsim.run();
-  cpu::CycleSim csim(masm::assemble_or_throw(src));
+  soc::Majc5200 csim(masm::assemble_or_throw(src), 1);
   csim.run();
   for (u32 r = 0; r < isa::kNumRegs; ++r) {
     EXPECT_EQ(fsim.state().regs[r], csim.cpu().state().regs[r]) << "reg " << r;

@@ -10,7 +10,7 @@
 #include <span>
 #include <tuple>
 
-#include "src/cpu/cycle_cpu.h"
+#include "src/soc/chip.h"
 #include "src/kernels/biquad.h"
 #include "src/kernels/bitrev.h"
 #include "src/kernels/cfir.h"
@@ -110,7 +110,7 @@ TEST_P(Differential, CycleModelComputesIdenticalState) {
   const auto fres = fsim.run(2'000'000);
   ASSERT_TRUE(fres.halted) << src;
 
-  cpu::CycleSim csim(masm::assemble_or_throw(src));
+  soc::Majc5200 csim(masm::assemble_or_throw(src), 1);
   const auto cres = csim.run(2'000'000);
   ASSERT_TRUE(cres.halted);
 
@@ -185,7 +185,7 @@ TEST_P(KernelDifferential, KernelsComputeIdenticalStateFromRandomMachineState) {
 
   constexpr std::size_t kMemBytes = 8u << 20;
   sim::FunctionalSim fsim(masm::assemble_or_throw(spec.source), kMemBytes);
-  cpu::CycleSim csim(masm::assemble_or_throw(spec.source), TimingConfig{},
+  soc::Majc5200 csim(masm::assemble_or_throw(spec.source), 1, TimingConfig{},
                      kMemBytes);
   if (spec.setup) {
     spec.setup(fsim.memory(), fsim.program().image());
@@ -273,7 +273,7 @@ TEST(Differential, MicrothreadedModelAlsoMatches) {
 
   TimingConfig cfg;
   cfg.hw_threads = 2;
-  cpu::CycleSim csim(masm::assemble_or_throw(src), cfg);
+  soc::Majc5200 csim(masm::assemble_or_throw(src), 1, cfg);
   ASSERT_TRUE(csim.run(4'000'000).halted);
 
   sim::FunctionalSim fsim(masm::assemble_or_throw(body));

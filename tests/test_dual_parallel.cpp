@@ -79,10 +79,10 @@ void fill(soc::Majc5200& chip, u32 total) {
 
 TEST(DualCpu, SplitWorkloadComputesCorrectPartials) {
   constexpr u32 kTotal = 8192;
-  soc::Majc5200 chip(masm::assemble_or_throw(sop_program(kTotal, true)));
+  soc::Majc5200 chip(masm::assemble_or_throw(sop_program(kTotal, true)), 2);
   fill(chip, kTotal);
   const auto res = chip.run();
-  ASSERT_TRUE(res.all_halted);
+  ASSERT_TRUE(res.halted);
   const Addr part = chip.program().image().symbol("partial");
   const u32 p0 = chip.memory().read_u32(part);
   const u32 p1 = chip.memory().read_u32(part + 4);
@@ -92,15 +92,15 @@ TEST(DualCpu, SplitWorkloadComputesCorrectPartials) {
 
 TEST(DualCpu, ThreadLevelParallelismSpeedsUp) {
   constexpr u32 kTotal = 8192;
-  soc::Majc5200 single(masm::assemble_or_throw(sop_program(kTotal, false)));
+  soc::Majc5200 single(masm::assemble_or_throw(sop_program(kTotal, false)), 2);
   fill(single, kTotal);
   const auto r1 = single.run();
-  ASSERT_TRUE(r1.all_halted);
+  ASSERT_TRUE(r1.halted);
 
-  soc::Majc5200 dual(masm::assemble_or_throw(sop_program(kTotal, true)));
+  soc::Majc5200 dual(masm::assemble_or_throw(sop_program(kTotal, true)), 2);
   fill(dual, kTotal);
   const auto r2 = dual.run();
-  ASSERT_TRUE(r2.all_halted);
+  ASSERT_TRUE(r2.halted);
 
   const double speedup =
       static_cast<double>(r1.cycles) / static_cast<double>(r2.cycles);
@@ -139,9 +139,9 @@ TEST(DualCpu, BothCpusShareOneDataCacheCoherently) {
     stwi g8, g9, 0
     halt
   )";
-  soc::Majc5200 chip(masm::assemble_or_throw(src));
+  soc::Majc5200 chip(masm::assemble_or_throw(src), 2);
   const auto res = chip.run(500000);
-  ASSERT_TRUE(res.all_halted);
+  ASSERT_TRUE(res.halted);
   EXPECT_EQ(chip.memory().read_u32(chip.program().image().symbol("out")),
             31415u);
 }

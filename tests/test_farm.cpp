@@ -153,7 +153,7 @@ TEST(Farm, ResetMachineReproducesFreshMachine) {
   cfg_a.faults = farm::derive_soak_faults(kSeed, 0, 1);
   TimingConfig cfg_b;  // fault-free in between, to move cache/arena state
 
-  cpu::CycleSim machine(a.program, cfg_a);
+  soc::Majc5200 machine(a.program, 1, cfg_a);
   const kernels::KernelRun first = kernels::run_kernel_on(machine, a.spec);
   machine.reset(b.program, cfg_b);
   const kernels::KernelRun other = kernels::run_kernel_on(machine, b.spec);

@@ -3,7 +3,6 @@
 // watchdog, and cache way-disable degradation.
 #include <gtest/gtest.h>
 
-#include "src/cpu/cycle_cpu.h"
 #include "src/masm/assembler.h"
 #include "src/soc/chip.h"
 #include "src/support/fault.h"
@@ -62,12 +61,12 @@ TEST(FaultPlan, RaisingCorrectableRateNeverMovesUncorrectableLines) {
 
 // ------------------------------------------------------------------- Traps
 
-TEST(Faults, CycleSimDeliversMisalignedTrap) {
-  cpu::CycleSim sim(assemble_or_throw(R"(
+TEST(Faults, CycleModeDeliversMisalignedTrap) {
+  soc::Majc5200 sim(assemble_or_throw(R"(
     setlo g3, 4097
     ldwi g4, g3, 0
     halt
-  )"));
+  )"), 1);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kTrap);
   EXPECT_EQ(res.trap.code, TrapCause::kMisaligned);
@@ -88,12 +87,12 @@ TEST(Faults, ChipTrapNamesTheFaultingCpu) {
     ldwi g4, g3, 0
     halt
   )";
-  soc::Majc5200 chip(assemble_or_throw(src));
+  soc::Majc5200 chip(assemble_or_throw(src), 2);
   const auto res = chip.run();
   EXPECT_EQ(res.reason, TerminationReason::kTrap);
   EXPECT_EQ(res.trap.code, TrapCause::kMisaligned);
   EXPECT_EQ(res.trap.cpu, 1u);
-  EXPECT_FALSE(res.all_halted);
+  EXPECT_FALSE(res.halted);
   EXPECT_NE(res.dump.find("architected trap"), std::string::npos);
   EXPECT_NE(res.dump.find("cpu1:"), std::string::npos);
 }
@@ -139,8 +138,8 @@ constexpr const char* kRecoverProg = R"(
     rett g7
 )";
 
-TEST(TrapDelivery, CycleSimGuestHandlerRecoversMisalignedLoad) {
-  cpu::CycleSim sim(assemble_or_throw(kRecoverProg));
+TEST(TrapDelivery, CycleModeGuestHandlerRecoversMisalignedLoad) {
+  soc::Majc5200 sim(assemble_or_throw(kRecoverProg), 1);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kHalted);
   EXPECT_TRUE(res.halted);
@@ -163,11 +162,11 @@ TEST(TrapDelivery, FunctionalSimGuestHandlerRecoversMisalignedLoad) {
 TEST(TrapDelivery, NoHandlerStillTerminatesTheRun) {
   // tvec == 0: PR 1 behavior is unchanged — the trap surfaces as the
   // termination reason instead of vectoring anywhere.
-  cpu::CycleSim sim(assemble_or_throw(R"(
+  soc::Majc5200 sim(assemble_or_throw(R"(
     setlo g3, 4097
     ldwi g4, g3, 0
     halt
-  )"));
+  )"), 1);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kTrap);
   EXPECT_EQ(res.trap.code, TrapCause::kMisaligned);
@@ -178,7 +177,7 @@ TEST(TrapDelivery, DoubleFaultStaysFatal) {
   // The handler itself takes a misaligned load while in_trap is set: the
   // second trap must not re-enter the handler (infinite recursion) but end
   // the run.
-  cpu::CycleSim sim(assemble_or_throw(R"(
+  soc::Majc5200 sim(assemble_or_throw(R"(
     sethi g20, %hi(handler)
     orlo g20, %lo(handler)
     settvec g20
@@ -188,7 +187,7 @@ TEST(TrapDelivery, DoubleFaultStaysFatal) {
   handler:
     ldwi g6, g3, 0       # faults again inside the handler
     rett g7
-  )"));
+  )"), 1);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kTrap);
   EXPECT_EQ(res.trap.code, TrapCause::kMisaligned);
@@ -226,13 +225,13 @@ constexpr const char* kChecksumProg = R"(
 )";
 
 TEST(Faults, CorrectableEccIsBitIdenticalToFaultFree) {
-  cpu::CycleSim clean(assemble_or_throw(kChecksumProg));
+  soc::Majc5200 clean(assemble_or_throw(kChecksumProg), 1);
   const auto clean_res = clean.run();
   ASSERT_EQ(clean_res.reason, TerminationReason::kHalted);
 
   TimingConfig cfg;
   cfg.faults.dram_correctable_rate = 1.0;  // every line needs correction
-  cpu::CycleSim faulty(assemble_or_throw(kChecksumProg), cfg);
+  soc::Majc5200 faulty(assemble_or_throw(kChecksumProg), 1, cfg);
   const auto res = faulty.run();
   EXPECT_EQ(res.reason, TerminationReason::kHalted);
   // SEC-DED corrected every read; the architectural result is untouched.
@@ -245,7 +244,7 @@ TEST(Faults, CorrectableEccIsBitIdenticalToFaultFree) {
 TEST(Faults, UncorrectableEccRaisesMachineCheck) {
   TimingConfig cfg;
   cfg.faults.dram_uncorrectable_rate = 1.0;
-  cpu::CycleSim sim(assemble_or_throw(kChecksumProg), cfg);
+  soc::Majc5200 sim(assemble_or_throw(kChecksumProg), 1, cfg);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kTrap);
   EXPECT_EQ(res.trap.code, TrapCause::kMachineCheck);
@@ -253,13 +252,13 @@ TEST(Faults, UncorrectableEccRaisesMachineCheck) {
 }
 
 TEST(Faults, EccOffSilentlyCorruptsData) {
-  cpu::CycleSim clean(assemble_or_throw(kChecksumProg));
+  soc::Majc5200 clean(assemble_or_throw(kChecksumProg), 1);
   clean.run();
 
   TimingConfig cfg;
   cfg.faults.dram_correctable_rate = 1.0;
   cfg.faults.ecc_enabled = false;
-  cpu::CycleSim sim(assemble_or_throw(kChecksumProg), cfg);
+  soc::Majc5200 sim(assemble_or_throw(kChecksumProg), 1, cfg);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kHalted);  // no trap, just rot
   EXPECT_GE(sim.ecc().silent_corruptions(), 1u);
@@ -269,13 +268,13 @@ TEST(Faults, EccOffSilentlyCorruptsData) {
 // ------------------------------------------- machine-check recovery policy
 
 TEST(Faults, RetryPolicyAbsorbsUncorrectableEcc) {
-  cpu::CycleSim clean(assemble_or_throw(kChecksumProg));
+  soc::Majc5200 clean(assemble_or_throw(kChecksumProg), 1);
   clean.run();
 
   TimingConfig cfg;
   cfg.faults.dram_uncorrectable_rate = 1.0;
   cfg.faults.mc_policy = MachineCheckPolicy::kRetry;
-  cpu::CycleSim sim(assemble_or_throw(kChecksumProg), cfg);
+  soc::Majc5200 sim(assemble_or_throw(kChecksumProg), 1, cfg);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kHalted);
   EXPECT_EQ(sim.cpu().state().read(10), clean.cpu().state().read(10));
@@ -285,13 +284,13 @@ TEST(Faults, RetryPolicyAbsorbsUncorrectableEcc) {
 }
 
 TEST(Faults, PoisonPolicyScrubsLinesAndContinues) {
-  cpu::CycleSim clean(assemble_or_throw(kChecksumProg));
+  soc::Majc5200 clean(assemble_or_throw(kChecksumProg), 1);
   clean.run();
 
   TimingConfig cfg;
   cfg.faults.dram_uncorrectable_rate = 1.0;
   cfg.faults.mc_policy = MachineCheckPolicy::kPoison;
-  cpu::CycleSim sim(assemble_or_throw(kChecksumProg), cfg);
+  soc::Majc5200 sim(assemble_or_throw(kChecksumProg), 1, cfg);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kHalted);
   EXPECT_EQ(sim.cpu().state().read(10), clean.cpu().state().read(10));
@@ -305,7 +304,7 @@ TEST(Faults, DeliverPolicyWithoutHandlerIsFatal) {
   TimingConfig cfg;
   cfg.faults.dram_uncorrectable_rate = 1.0;
   cfg.faults.mc_policy = MachineCheckPolicy::kDeliver;
-  cpu::CycleSim sim(assemble_or_throw(kChecksumProg), cfg);
+  soc::Majc5200 sim(assemble_or_throw(kChecksumProg), 1, cfg);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kTrap);
   EXPECT_EQ(res.trap.code, TrapCause::kMachineCheck);
@@ -350,13 +349,13 @@ TEST(Faults, DeliverPolicyReachesGuestHandlerWhichRetries) {
       mftr g61, 1        # tpc: retry the faulting packet
       rett g61
   )";
-  cpu::CycleSim clean(assemble_or_throw(kChecksumProg));
+  soc::Majc5200 clean(assemble_or_throw(kChecksumProg), 1);
   clean.run();
 
   TimingConfig cfg;
   cfg.faults.dram_uncorrectable_rate = 0.05;
   cfg.faults.mc_policy = MachineCheckPolicy::kDeliver;
-  cpu::CycleSim sim(assemble_or_throw(kHandled), cfg);
+  soc::Majc5200 sim(assemble_or_throw(kHandled), 1, cfg);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kHalted);
   EXPECT_EQ(sim.cpu().state().read(10), clean.cpu().state().read(10));
@@ -368,14 +367,14 @@ TEST(Faults, DeliverPolicyReachesGuestHandlerWhichRetries) {
 // ----------------------------------------------------- fill parity / xbar
 
 TEST(Faults, FillParityRetriesCostTimeNotCorrectness) {
-  cpu::CycleSim clean(assemble_or_throw(kChecksumProg));
+  soc::Majc5200 clean(assemble_or_throw(kChecksumProg), 1);
   const auto clean_res = clean.run();
 
   TimingConfig cfg;
   // Each refetch redraws per fill index, so at 0.5 every fill succeeds
   // within the 8-attempt refetch bound with overwhelming probability.
   cfg.faults.fill_parity_rate = 0.5;
-  cpu::CycleSim sim(assemble_or_throw(kChecksumProg), cfg);
+  soc::Majc5200 sim(assemble_or_throw(kChecksumProg), 1, cfg);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kHalted);
   EXPECT_EQ(sim.cpu().state().read(10), clean.cpu().state().read(10));
@@ -390,7 +389,7 @@ TEST(Faults, FillParityExhaustionRaisesBoundedMachineCheck) {
   TimingConfig cfg;
   cfg.faults.fill_parity_rate = 1.0;
   cfg.faults.max_fill_retries = 4;
-  cpu::CycleSim sim(assemble_or_throw(kChecksumProg), cfg);
+  soc::Majc5200 sim(assemble_or_throw(kChecksumProg), 1, cfg);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kTrap);
   EXPECT_EQ(res.trap.code, TrapCause::kMachineCheck);
@@ -401,13 +400,13 @@ TEST(Faults, FillParityExhaustionRaisesBoundedMachineCheck) {
 }
 
 TEST(Faults, CrossbarGrantFaultsDelayTransfers) {
-  cpu::CycleSim clean(assemble_or_throw(kChecksumProg));
+  soc::Majc5200 clean(assemble_or_throw(kChecksumProg), 1);
   const auto clean_res = clean.run();
 
   TimingConfig cfg;
   cfg.faults.xbar_delay_rate = 0.5;
   cfg.faults.xbar_drop_rate = 0.1;
-  cpu::CycleSim sim(assemble_or_throw(kChecksumProg), cfg);
+  soc::Majc5200 sim(assemble_or_throw(kChecksumProg), 1, cfg);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kHalted);
   EXPECT_EQ(sim.cpu().state().read(10), clean.cpu().state().read(10));
@@ -423,11 +422,11 @@ TEST(Faults, CrossbarGrantFaultsDelayTransfers) {
 TEST(Faults, WatchdogKillsSingleCpuInfiniteLoop) {
   TimingConfig cfg;
   cfg.watchdog_cycles = 5'000;
-  cpu::CycleSim sim(assemble_or_throw(R"(
+  soc::Majc5200 sim(assemble_or_throw(R"(
   spin:
     bz g0, spin
     halt
-  )"),
+  )"), 1,
                     cfg);
   const auto res = sim.run();
   EXPECT_EQ(res.reason, TerminationReason::kWatchdog);
@@ -455,11 +454,11 @@ TEST(Faults, WatchdogKillsLivelockedDualCpuRun) {
   )";
   TimingConfig cfg;
   cfg.watchdog_cycles = 20'000;
-  soc::Majc5200 chip(assemble_or_throw(src), cfg);
+  soc::Majc5200 chip(assemble_or_throw(src), 2, cfg);
   const auto res = chip.run();
   EXPECT_EQ(res.reason, TerminationReason::kWatchdog);
-  EXPECT_FALSE(res.all_halted);
-  EXPECT_LT(res.packets[1], 1'000'000u);
+  EXPECT_FALSE(res.halted);
+  EXPECT_LT(chip.cpu(1).stats().packets, 1'000'000u);
   EXPECT_NE(res.dump.find("watchdog"), std::string::npos);
   EXPECT_NE(res.dump.find("cpu0"), std::string::npos);
   EXPECT_NE(res.dump.find("cpu1"), std::string::npos);
@@ -492,13 +491,13 @@ TEST(Faults, DisabledWaysDegradeTimingNotResults) {
     bnz g5, loop
     halt
   )";
-  cpu::CycleSim healthy(assemble_or_throw(src));
+  soc::Majc5200 healthy(assemble_or_throw(src), 1);
   const auto base = healthy.run();
   ASSERT_EQ(base.reason, TerminationReason::kHalted);
 
   TimingConfig cfg;
   cfg.dcache_disabled_ways = 3;  // 4-way D$ degraded to a single live way
-  cpu::CycleSim degraded(assemble_or_throw(src), cfg);
+  soc::Majc5200 degraded(assemble_or_throw(src), 1, cfg);
   const auto res = degraded.run();
   EXPECT_EQ(res.reason, TerminationReason::kHalted);
   EXPECT_EQ(degraded.memsys().dcache().disabled_ways(), 3u);

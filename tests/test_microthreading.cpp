@@ -3,8 +3,10 @@
 // complete, per-thread registers isolated) and the latency-hiding effect.
 #include <gtest/gtest.h>
 
-#include "src/cpu/cycle_cpu.h"
+#include <set>
+
 #include "src/masm/assembler.h"
+#include "src/soc/chip.h"
 
 namespace majc {
 namespace {
@@ -45,7 +47,7 @@ std::string walker(u32 iterations) {
 TEST(MicroThreading, BothContextsRunAndHalt) {
   TimingConfig cfg;
   cfg.hw_threads = 2;
-  cpu::CycleSim sim(masm::assemble_or_throw(walker(64)), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(walker(64)), 1, cfg);
   const auto res = sim.run();
   EXPECT_TRUE(res.halted);
   const Addr r = sim.program().image().symbol("results");
@@ -70,7 +72,7 @@ TEST(MicroThreading, RegistersArePerContext) {
     stw g5, g8, g9
     halt
   )";
-  cpu::CycleSim sim(masm::assemble_or_throw(src), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(src), 1, cfg);
   sim.run();
   const Addr out = sim.program().image().symbol("out");
   EXPECT_EQ(sim.memory().read_u32(out), 100u);
@@ -83,12 +85,12 @@ TEST(MicroThreading, HidesMemoryLatency) {
   // overlaps miss latency with the other context's compute.
   TimingConfig one;
   one.hw_threads = 1;
-  cpu::CycleSim s1(masm::assemble_or_throw(walker(4096)), one);
+  soc::Majc5200 s1(masm::assemble_or_throw(walker(4096)), 1, one);
   const auto r1 = s1.run();
 
   TimingConfig two;
   two.hw_threads = 2;
-  cpu::CycleSim s2(masm::assemble_or_throw(walker(2048)), two);
+  soc::Majc5200 s2(masm::assemble_or_throw(walker(2048)), 1, two);
   const auto r2 = s2.run();
 
   EXPECT_TRUE(r1.halted);
@@ -99,7 +101,7 @@ TEST(MicroThreading, HidesMemoryLatency) {
 }
 
 TEST(MicroThreading, SingleThreadNeverSwitches) {
-  cpu::CycleSim sim(masm::assemble_or_throw(walker(128)), TimingConfig{});
+  soc::Majc5200 sim(masm::assemble_or_throw(walker(128)), 1, TimingConfig{});
   sim.run();
   EXPECT_EQ(sim.cpu().stats().thread_switches, 0u);
   EXPECT_EQ(sim.cpu().hw_threads(), 1u);
@@ -110,12 +112,29 @@ TEST(MicroThreading, ResultsMatchFunctionalPerThread) {
   // each context computes (gettid-dispatched).
   TimingConfig cfg;
   cfg.hw_threads = 2;
-  cpu::CycleSim sim(masm::assemble_or_throw(walker(32)), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(walker(32)), 1, cfg);
   sim.run();
   // The walked memory is zero-filled, so each context's sum is the marker.
   const Addr r = sim.program().image().symbol("results");
   EXPECT_EQ(sim.memory().read_u32(r), 1u);
   EXPECT_EQ(sim.memory().read_u32(r + 4), 1u);
+}
+
+TEST(MicroThreading, ChipGivesEveryThreadItsOwnStack) {
+  // Two CPUs x two contexts: each of the four contexts starts with its own
+  // stack pointer (CPU-major, 64 KB apart below the top of memory).
+  TimingConfig cfg;
+  cfg.hw_threads = 2;
+  soc::Majc5200 chip(masm::assemble_or_throw("halt\n"), 2, cfg);
+  std::set<u32> stacks;
+  for (u32 c = 0; c < chip.num_cpus(); ++c) {
+    for (u32 t = 0; t < chip.cpu(c).hw_threads(); ++t) {
+      const u32 sp = chip.cpu(c).state(t).regs[2];
+      EXPECT_NE(sp, 0u) << "cpu" << c << " thread " << t;
+      stacks.insert(sp);
+    }
+  }
+  EXPECT_EQ(stacks.size(), 4u);
 }
 
 } // namespace

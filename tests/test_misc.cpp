@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/isa/disasm.h"
-#include "src/cpu/cycle_cpu.h"
+#include "src/soc/chip.h"
 #include "src/kernels/peak.h"
 #include "src/masm/assembler.h"
 #include "src/sim/functional_sim.h"
@@ -119,7 +119,7 @@ TEST(Trace, ObserverSeesEveryPacketInOrder) {
     bnz g3, lp
     halt
   )";
-  cpu::CycleSim sim(masm::assemble_or_throw(src));
+  soc::Majc5200 sim(masm::assemble_or_throw(src), 1);
   std::vector<cpu::TraceEvent> events;
   sim.cpu().set_trace([&](const cpu::TraceEvent& ev) { events.push_back(ev); });
   const auto res = sim.run();

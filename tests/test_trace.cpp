@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/cpu/cycle_cpu.h"
 #include "src/kernels/fir.h"
 #include "src/kernels/kernel.h"
 #include "src/kernels/mb_decode.h"
@@ -202,7 +201,7 @@ std::vector<i64> field_on_lines(const std::string& text,
 /// recorder + LSU recorder + profiler all fed from the same event streams.
 struct TracedRun {
   std::string trace_json;
-  cpu::CycleSim::Result result;
+  soc::Majc5200::Result result;
   cpu::CpuStats stats;
   u64 lsu_load_misses = 0;
   u64 lsu_store_misses = 0;
@@ -215,7 +214,7 @@ struct TracedRun {
 
 TracedRun traced_kernel_run(const kernels::KernelSpec& spec) {
   const TimingConfig cfg;
-  cpu::CycleSim sim(masm::assemble_or_throw(spec.source), cfg);
+  soc::Majc5200 sim(masm::assemble_or_throw(spec.source), 1, cfg);
   if (spec.setup) spec.setup(sim.memory(), sim.program().image());
 
   std::ostringstream trace_os;
@@ -468,7 +467,7 @@ TEST(StatsJson, ChipModeTracesBothCpusAndTheDte) {
     halt
   )";
   const TimingConfig cfg;
-  soc::Majc5200 chip(masm::assemble_or_throw(src), cfg);
+  soc::Majc5200 chip(masm::assemble_or_throw(src), 2, cfg);
 
   std::ostringstream trace_os;
   trace::ChromeTraceWriter writer(trace_os);
@@ -482,7 +481,7 @@ TEST(StatsJson, ChipModeTracesBothCpusAndTheDte) {
   dte_rec.attach(chip.dte());
 
   const auto res = chip.run();
-  ASSERT_TRUE(res.all_halted);
+  ASSERT_TRUE(res.halted);
   // One DMA descriptor after the CPUs halt (the DTE only needs `now`).
   chip.dte().submit({0x100000, 0x180000, 4096}, res.cycles);
   writer.finish();
