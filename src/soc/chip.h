@@ -40,6 +40,9 @@ public:
            std::size_t mem_bytes = sim::FlatMemory::kDefaultBytes);
   Majc5200(masm::Image image, u32 num_cpus, const TimingConfig& cfg = {},
            std::size_t mem_bytes = sim::FlatMemory::kDefaultBytes);
+  // The CPUs, ports and ECC hook hold references into the machine.
+  Majc5200(const Majc5200&) = delete;
+  Majc5200& operator=(const Majc5200&) = delete;
 
   /// Reinitialize in place for a fresh run — optionally of a different
   /// program (null keeps the current one) and timing config — reusing the
