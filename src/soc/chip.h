@@ -85,7 +85,6 @@ public:
   const mem::EccMemory& ecc() const { return shared_->ecc; }
   const sim::Program& program() const { return *prog_; }
   Dte& dte() { return shared_->dte; }
-  const Dte& dte() const { return shared_->dte; }
   NupaPort& nupa() { return shared_->nupa; }
   IoPort& supa() { return shared_->supa; }
   IoPort& pci() { return shared_->pci; }
