@@ -2,8 +2,8 @@
 // documented latency, bypass delay and front-end property of the MAJC CPU,
 // verified against the cycle model.
 #include "bench/bench_util.h"
-#include "src/soc/chip.h"
 #include "src/masm/assembler.h"
+#include "src/soc/chip.h"
 
 using namespace majc;
 using namespace majc::bench;

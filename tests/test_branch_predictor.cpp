@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "src/cpu/branch_predictor.h"
-#include "src/soc/chip.h"
 #include "src/masm/assembler.h"
+#include "src/soc/chip.h"
 #include "src/support/error.h"
 
 namespace majc {

@@ -2,8 +2,8 @@
 // and bypass rule the paper documents is asserted here (Fig. 2 / §3.2 / §4).
 #include <gtest/gtest.h>
 
-#include "src/soc/chip.h"
 #include "src/masm/assembler.h"
+#include "src/soc/chip.h"
 
 namespace majc {
 namespace {

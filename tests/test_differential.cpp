@@ -10,7 +10,6 @@
 #include <span>
 #include <tuple>
 
-#include "src/soc/chip.h"
 #include "src/kernels/biquad.h"
 #include "src/kernels/bitrev.h"
 #include "src/kernels/cfir.h"
@@ -27,6 +26,7 @@
 #include "src/kernels/vld.h"
 #include "src/masm/assembler.h"
 #include "src/sim/functional_sim.h"
+#include "src/soc/chip.h"
 #include "src/support/rng.h"
 
 namespace majc {

@@ -4,10 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "src/isa/disasm.h"
-#include "src/soc/chip.h"
 #include "src/kernels/peak.h"
 #include "src/masm/assembler.h"
 #include "src/sim/functional_sim.h"
+#include "src/soc/chip.h"
 #include "src/support/inline_vec.h"
 #include "src/support/stats.h"
 
