@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <exception>
+#include <system_error>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -13,6 +14,54 @@
 #include "src/serve/wire.h"
 
 namespace majc::serve {
+namespace {
+
+/// Watches a client socket while its campaign runs. A peer that closes the
+/// connection cancels the campaign at the next job (or slice) boundary, so
+/// its admission slot frees within one job instead of after the whole run.
+/// POLLHUP, not POLLRDHUP: it needs a full peer close, so neither a client
+/// half-close nor the SHUT_RD that begin_shutdown issues triggers it.
+class HangupWatch {
+public:
+  // Without a pipe or a thread the campaign runs unwatched, to its end.
+  HangupWatch(int fd, farm::RunControl* control) {
+    if (::pipe(wake_) != 0) return;
+    try {
+      thread_ = std::thread([this, fd, control] {
+        pollfd pfds[2] = {{fd, 0, 0}, {wake_[0], POLLIN, 0}};
+        while (::poll(pfds, 2, -1) < 0 && errno == EINTR) {
+        }
+        if ((pfds[0].revents & POLLHUP) != 0 && pfds[1].revents == 0) {
+          hung_up_.store(true);
+          control->request_cancel();
+        }
+      });
+    } catch (const std::system_error&) {
+    }
+  }
+  ~HangupWatch() {
+    if (thread_.joinable()) {
+      const char wake = 0;
+      while (::write(wake_[1], &wake, 1) < 0 && errno == EINTR) {
+      }
+      thread_.join();
+    }
+    for (const int fd : wake_) {
+      if (fd >= 0) ::close(fd);
+    }
+  }
+  HangupWatch(const HangupWatch&) = delete;
+  HangupWatch& operator=(const HangupWatch&) = delete;
+
+  bool hung_up() const { return hung_up_.load(); }
+
+private:
+  int wake_[2] = {-1, -1};
+  std::atomic<bool> hung_up_{false};
+  std::thread thread_;
+};
+
+} // namespace
 
 struct Server::Conn {
   int fd = -1;
@@ -284,20 +333,25 @@ bool Server::handle_campaign(Conn* conn, const JValue& req) {
     }
   }
 
-  std::vector<u64> iterations = r.iterations;
-  if (iterations.empty()) {
-    iterations.reserve(r.seeds);
-    for (u64 it = 0; it < r.seeds; ++it) iterations.push_back(it);
-  }
-  const u64 modes = r.mode == "both" ? 2 : 1;
-  const u64 matrix = compiled.size() * iterations.size() * modes;
-  if (matrix == 0 || matrix > cfg_.max_jobs_per_request) {
-    char msg[96];
+  // Bound the matrix before materializing anything: `seeds` is a raw u64
+  // from the wire, so the product is checked by division, not multiplied.
+  const u64 per_seed = compiled.size() * (r.mode == "both" ? 2 : 1);
+  const u64 seeds = r.iterations.empty() ? r.seeds : r.iterations.size();
+  if (per_seed == 0 || seeds == 0 ||
+      seeds > cfg_.max_jobs_per_request / per_seed) {
+    char msg[128];
     std::snprintf(msg, sizeof msg,
-                  "campaign matrix of %llu job(s) outside [1, %llu]",
-                  static_cast<unsigned long long>(matrix),
+                  "campaign matrix of %llu seed(s) x %llu job(s) outside "
+                  "[1, %llu] jobs",
+                  static_cast<unsigned long long>(seeds),
+                  static_cast<unsigned long long>(per_seed),
                   static_cast<unsigned long long>(cfg_.max_jobs_per_request));
     return send_error(conn, r.id, errc::kBadRequest, msg);
+  }
+  std::vector<u64> iterations = r.iterations;
+  if (iterations.empty()) {
+    iterations.reserve(seeds);
+    for (u64 it = 0; it < seeds; ++it) iterations.push_back(it);
   }
 
   switch (admit()) {
@@ -354,7 +408,14 @@ bool Server::handle_campaign(Conn* conn, const JValue& req) {
         r.workers != 0 ? std::min<u64>(r.workers, cfg_.workers)
                        : cfg_.workers);
     opts.control = &control;
+    HangupWatch watch(conn->fd, &control);
     const std::vector<farm::JobResult> results = eng.run(opts);
+    if (watch.hung_up()) {
+      // Nobody is left to answer: the campaign was cancelled (or finished
+      // unread). Free the slot and close without counting it as served.
+      release();
+      return false;
+    }
 
     bool drained = false;
     for (const farm::JobResult& jr : results) {

@@ -206,8 +206,13 @@ TEST_F(ServeProtocolTest, UnknownKernelAndBadParametersAreRecoverable) {
   ASSERT_TRUE(serve::run_campaign(c, req, &reply, &err)) << err;
   EXPECT_EQ(reply.error_code, "bad-request");
 
+  req = quick_request(5);
+  req.seeds = 1ull << 62;  // rejected before the seed list is materialized
+  ASSERT_TRUE(serve::run_campaign(c, req, &reply, &err)) << err;
+  EXPECT_EQ(reply.error_code, "bad-request");
+
   // All on ONE connection, which still works afterwards.
-  ASSERT_TRUE(serve::run_campaign(c, quick_request(5), &reply, &err)) << err;
+  ASSERT_TRUE(serve::run_campaign(c, quick_request(6), &reply, &err)) << err;
   EXPECT_TRUE(reply.ok) << reply.error_code;
   expect_server_healthy();
 }
