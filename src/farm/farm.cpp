@@ -378,16 +378,6 @@ void submit_matrix(Engine& eng, const MatrixSpec& m) {
   }
 }
 
-kernels::KernelRun WorkerMachines::run(const kernels::CompiledKernel& k,
-                                       const Job& job) {
-  if (job.mode == SimMode::kFunctional) {
-    sim::FunctionalSim& m = acquire_functional(k.program);
-    m.set_backend(job.backend);
-    return kernels::run_kernel_on(m, k.spec);
-  }
-  return kernels::run_kernel_on(acquire_cycle(k.program, job.cfg), k.spec);
-}
-
 soc::Majc5200& WorkerMachines::acquire_cycle(const sim::ProgramRef& program,
                                              const TimingConfig& cfg) {
   if (!cycle_) {

@@ -1,7 +1,8 @@
 // Canonical registry of the 16 Table 1 / Table 2 kernels.
 //
-// Every harness that sweeps "all the kernels" — majc_farm, the fault/chaos
-// soaks, the serving daemon — used to carry its own copy of this list; one
+// Every harness that sweeps "all the kernels" — majc_farm, the serving
+// daemon, bench_host_mips's farm/soak16 row, the chaos storm in
+// test_resilience — builds from this list; a private copy with one
 // divergent entry would silently shrink a sweep. This is the single source
 // of truth: the canonical sweep order (DSP Table 2 rows first, then the
 // video Table 1 rows) and the canonical short names requests refer to.

@@ -1,7 +1,7 @@
 // Farm engine tests: the three determinism pillars of src/farm/.
 //
 //  * campaign JSON is byte-identical for any worker count (including under
-//    fault injection) — the property majc_farm and soak_faults rely on;
+//    fault injection) — the property majc_farm and majcd rely on;
 //  * an engine job is bit-identical to a fresh run_kernel / _functional of
 //    the same spec+config (shared predecode changes nothing architectural);
 //  * a reused (reset-in-place) machine reproduces a fresh machine exactly,
@@ -194,17 +194,23 @@ TEST(Farm, WorkerMachinesReuseMatchesFreshAcrossModes) {
   const kernels::CompiledKernel k =
       kernels::compile_kernel(kernels::make_max_search_spec());
   farm::WorkerMachines wm;
-  farm::Job cycle_job;
-  farm::Job func_job;
-  func_job.mode = farm::SimMode::kFunctional;
-  cycle_job.cfg.faults = farm::derive_soak_faults(kSeed, 2, 0);
+  TimingConfig cfg;
+  cfg.faults = farm::derive_soak_faults(kSeed, 2, 0);
+  const auto run_cycle = [&] {
+    return kernels::run_kernel_on(wm.acquire_cycle(k.program, cfg), k.spec);
+  };
+  const auto run_functional = [&] {
+    sim::FunctionalSim& m = wm.acquire_functional(k.program);
+    m.set_backend(sim::ExecBackend::kThreaded);
+    return kernels::run_kernel_on(m, k.spec);
+  };
 
-  const kernels::KernelRun c1 = wm.run(k, cycle_job);
-  const kernels::KernelRun f1 = wm.run(k, func_job);
-  const kernels::KernelRun c2 = wm.run(k, cycle_job);
-  const kernels::KernelRun f2 = wm.run(k, func_job);
+  const kernels::KernelRun c1 = run_cycle();
+  const kernels::KernelRun f1 = run_functional();
+  const kernels::KernelRun c2 = run_cycle();
+  const kernels::KernelRun f2 = run_functional();
 
-  expect_same_run(c1, kernels::run_kernel(k.spec, cycle_job.cfg));
+  expect_same_run(c1, kernels::run_kernel(k.spec, cfg));
   expect_same_run(f1, kernels::run_kernel_functional(k.spec));
   expect_same_run(c2, c1);
   expect_same_run(f2, f1);

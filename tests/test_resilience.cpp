@@ -14,9 +14,11 @@
 //    watchdog by storing) is converted into a structured deadline-exceeded
 //    result by the JobPolicy host deadline;
 //  * repeated Engine::run calls, with retries and chaos enabled, stay
-//    byte-identical across calls and worker counts.
+//    byte-identical across calls and worker counts — on the small campaign
+//    and on the full 16-kernel, both-mode storm under guest faults.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "src/kernels/fir.h"
 #include "src/kernels/kernel.h"
 #include "src/kernels/max_search.h"
+#include "src/kernels/table12.h"
 
 namespace majc {
 namespace {
@@ -371,22 +374,14 @@ TEST(Resilience, BackoffIsDeterministicBoundedAndSeedAdvancing) {
 
 // ----------------------------------- repeated runs, chaos, and worker counts
 
-TEST(Resilience, RepeatedRunsWithRetriesAndChaosStayByteIdentical) {
-  farm::JobPolicy policy;
-  policy.slice_packets = 300;
-  policy.max_attempts = 3;
-  const farm::Engine eng = make_campaign(policy);
-
+/// Run `eng` under `chaos` at each worker count and require every campaign
+/// JSON to equal the undisturbed -j1 baseline; the storm must strike.
+void expect_chaos_invisible(const farm::Engine& eng,
+                            const farm::ChaosPlan& chaos,
+                            std::initializer_list<unsigned> worker_counts) {
   const std::string baseline = farm::campaign_json(eng, eng.run(1), kSeed);
-
-  farm::ChaosPlan chaos;
-  chaos.seed = 0xc4a05;
-  chaos.exception_rate = 0.5;
-  chaos.deadline_kill_rate = 0.3;
-  chaos.preempt_rate = 0.4;
-
   u64 disturbed = 0;
-  for (const unsigned workers : {1u, 4u, 1u, 3u}) {
+  for (const unsigned workers : worker_counts) {
     farm::CampaignStats stats;
     farm::Engine::RunOptions opts;
     opts.workers = workers;
@@ -397,6 +392,45 @@ TEST(Resilience, RepeatedRunsWithRetriesAndChaosStayByteIdentical) {
     disturbed += stats.jobs_retried + stats.forced_preemptions;
   }
   EXPECT_GT(disturbed, 0u);  // the storm actually struck
+}
+
+TEST(Resilience, RepeatedRunsWithRetriesAndChaosStayByteIdentical) {
+  {
+    farm::JobPolicy policy;
+    policy.slice_packets = 300;
+    policy.max_attempts = 3;
+    farm::ChaosPlan chaos;
+    chaos.seed = 0xc4a05;
+    chaos.exception_rate = 0.5;
+    chaos.deadline_kill_rate = 0.3;
+    chaos.preempt_rate = 0.4;
+    expect_chaos_invisible(make_campaign(policy), chaos, {1u, 4u, 1u, 3u});
+  }
+  {
+    // The full storm: every Table 1/2 kernel in both modes under guest
+    // faults, with the deterministic backoff path exercised between
+    // retries.
+    farm::Engine eng;
+    for (const kernels::NamedKernel& nk : kernels::table12_kernels()) {
+      eng.add_kernel(kernels::table12_spec(nk));
+    }
+    farm::MatrixSpec m;
+    m.iterations = {0};
+    m.base_seed = kSeed;
+    m.mode_functional = true;
+    m.policy.slice_packets = 4096;
+    m.policy.max_attempts = 3;
+    m.policy.backoff_base_us = 50;
+    m.policy.backoff_seed = 0xc4a05;
+    farm::submit_matrix(eng, m);
+    farm::ChaosPlan chaos;
+    chaos.seed = 0xc4a05;
+    chaos.exception_rate = 0.4;
+    chaos.deadline_kill_rate = 0.25;
+    chaos.preempt_rate = 0.35;
+    chaos.max_preemptions_per_job = 2;
+    expect_chaos_invisible(eng, chaos, {4u});
+  }
 }
 
 } // namespace
