@@ -214,10 +214,10 @@ TEST(BackendEquiv, GuestTrapHandlerRecoveryMatches) {
 
 // ------------------------------------- seeded fault-config job matrix
 
-// The soak harness's seeded job matrix (every kernel, derive_soak_faults
-// per iteration) through the farm on each backend: per-job architectural
-// outcomes must pair up exactly. This also pins the farm's backend
-// plumbing — Job.backend reaches the worker machines.
+// majc_farm's seeded job matrix (submit_matrix / derive_soak_faults) through
+// the farm on each backend: per-job architectural outcomes must pair up
+// exactly. This also pins the farm's backend plumbing — Job.backend reaches
+// the worker machines.
 TEST(BackendEquiv, SeededFarmSweepMatchesAcrossBackends) {
   std::vector<farm::JobResult> per_backend[2];
   for (const ExecBackend backend :

@@ -395,42 +395,41 @@ void expect_chaos_invisible(const farm::Engine& eng,
 }
 
 TEST(Resilience, RepeatedRunsWithRetriesAndChaosStayByteIdentical) {
-  {
-    farm::JobPolicy policy;
-    policy.slice_packets = 300;
-    policy.max_attempts = 3;
-    farm::ChaosPlan chaos;
-    chaos.seed = 0xc4a05;
-    chaos.exception_rate = 0.5;
-    chaos.deadline_kill_rate = 0.3;
-    chaos.preempt_rate = 0.4;
-    expect_chaos_invisible(make_campaign(policy), chaos, {1u, 4u, 1u, 3u});
+  farm::JobPolicy policy;
+  policy.slice_packets = 300;
+  policy.max_attempts = 3;
+  farm::ChaosPlan chaos;
+  chaos.seed = 0xc4a05;
+  chaos.exception_rate = 0.5;
+  chaos.deadline_kill_rate = 0.3;
+  chaos.preempt_rate = 0.4;
+  expect_chaos_invisible(make_campaign(policy), chaos, {1u, 4u, 1u, 3u});
+}
+
+// The full storm: every Table 1/2 kernel in both modes under guest faults,
+// with the deterministic backoff path exercised between retries. ctest runs
+// it as its own entry (resilience_chaos_storm) with its own time budget.
+TEST(Resilience, ChaosStormOverAllKernelsStaysByteIdentical) {
+  farm::Engine eng;
+  for (const kernels::NamedKernel& nk : kernels::table12_kernels()) {
+    eng.add_kernel(kernels::table12_spec(nk));
   }
-  {
-    // The full storm: every Table 1/2 kernel in both modes under guest
-    // faults, with the deterministic backoff path exercised between
-    // retries.
-    farm::Engine eng;
-    for (const kernels::NamedKernel& nk : kernels::table12_kernels()) {
-      eng.add_kernel(kernels::table12_spec(nk));
-    }
-    farm::MatrixSpec m;
-    m.iterations = {0};
-    m.base_seed = kSeed;
-    m.mode_functional = true;
-    m.policy.slice_packets = 4096;
-    m.policy.max_attempts = 3;
-    m.policy.backoff_base_us = 50;
-    m.policy.backoff_seed = 0xc4a05;
-    farm::submit_matrix(eng, m);
-    farm::ChaosPlan chaos;
-    chaos.seed = 0xc4a05;
-    chaos.exception_rate = 0.4;
-    chaos.deadline_kill_rate = 0.25;
-    chaos.preempt_rate = 0.35;
-    chaos.max_preemptions_per_job = 2;
-    expect_chaos_invisible(eng, chaos, {4u});
-  }
+  farm::MatrixSpec m;
+  m.iterations = {0};
+  m.base_seed = kSeed;
+  m.mode_functional = true;
+  m.policy.slice_packets = 4096;
+  m.policy.max_attempts = 3;
+  m.policy.backoff_base_us = 50;
+  m.policy.backoff_seed = 0xc4a05;
+  farm::submit_matrix(eng, m);
+  farm::ChaosPlan chaos;
+  chaos.seed = 0xc4a05;
+  chaos.exception_rate = 0.4;
+  chaos.deadline_kill_rate = 0.25;
+  chaos.preempt_rate = 0.35;
+  chaos.max_preemptions_per_job = 2;
+  expect_chaos_invisible(eng, chaos, {4u});
 }
 
 } // namespace

@@ -33,16 +33,16 @@ std::string unique_socket_path() {
          std::to_string(++counter) + ".sock";
 }
 
-/// A campaign big enough (16 kernels x 2 seeds, cycle mode: seconds of
-/// guest time) that the test can act while it is still executing.
-serve::CampaignRequest slow_request(u64 id) {
+/// A campaign big enough (16 kernels x `seeds`, cycle mode: seconds of
+/// guest time at 2 seeds) that the test can act while it is still executing.
+serve::CampaignRequest slow_request(u64 id, u64 seeds = 2) {
   serve::CampaignRequest req;
   req.id = id;
   for (const kernels::NamedKernel& nk : kernels::table12_kernels()) {
     req.kernels.push_back(nk.name);
   }
   req.mode = "cycle";
-  req.seeds = 2;
+  req.seeds = seeds;
   return req;
 }
 
@@ -307,15 +307,32 @@ TEST_F(ServeProtocolTest, DisconnectMidStreamReleasesSlot) {
   {
     serve::Client c;
     ASSERT_TRUE(connect(&c));
-    ASSERT_TRUE(c.send(serve::campaign_request_json(slow_request(1))));
+    // 256 cycle jobs: far longer to run out than expect_server_healthy's
+    // 5 s idle wait, so the slot frees in time only if the hang-up cancels
+    // the campaign.
+    ASSERT_TRUE(c.send(serve::campaign_request_json(slow_request(1, 16))));
     std::string payload;
     ASSERT_TRUE(c.recv(&payload));  // ack: the campaign is executing
     c.close();                      // vanish mid-campaign
   }
-  // The server must notice the dead peer, finish/abort the campaign, and
-  // release the (only) slot — expect_server_healthy would otherwise hang on
-  // admission and fail by timeout.
+  // The server must notice the dead peer, abort the campaign, and release
+  // the (only) slot — expect_server_healthy would otherwise wait out the
+  // whole campaign on admission and fail.
   expect_server_healthy();
+  // Only the health check's one-job campaign counts as served. Its serving
+  // thread counts it before releasing the slot, so wait for idle first.
+  serve::Client c;
+  ASSERT_TRUE(connect(&c));
+  serve::ServeStats s;
+  std::string err;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(serve::fetch_stats(c, 903, &s, &err)) << err;
+    if (s.active_campaigns == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_EQ(s.active_campaigns, 0u);
+  EXPECT_EQ(s.campaigns_served, 1u);
+  EXPECT_EQ(s.jobs_served, 1u);
 }
 
 TEST_F(ServeProtocolTest, DrainWithInFlightCampaignDoesNotHang) {
