@@ -1,9 +1,9 @@
 // Host-throughput smoke benchmark: how many simulated packets per host
-// second the interpreters sustain. Runs guest workloads (IDCT, FIR, the
-// mb_decode macroblock pipeline, and a dual-CPU sum-of-products chip run)
-// under the instruction-accurate and cycle-accurate models, timing the run
-// loop only — sim construction (dominated by zeroing guest memory) is kept
-// off the clock so the numbers track the interpreter hot path.
+// second the interpreters sustain. Runs guest workloads (IDCT, FIR, complex
+// FIR, the mb_decode macroblock pipeline, and a dual-CPU sum-of-products
+// chip run) under the instruction-accurate and cycle-accurate models, timing
+// the run loop only — sim construction (dominated by zeroing guest memory)
+// is kept off the clock so the numbers track the interpreter hot path.
 //
 // Output: a human-readable table on stdout and BENCH_host.json (see --out).
 // With --baseline=<json from a previous run>, exits 1 if any baseline
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/farm/farm.h"
+#include "src/kernels/cfir.h"
 #include "src/kernels/fir.h"
 #include "src/kernels/idct.h"
 #include "src/kernels/kernel.h"
@@ -296,6 +297,8 @@ int main(int argc, char** argv) {
   std::vector<KernelCase> cases;
   cases.push_back({"idct", kernels::make_idct_spec()});
   cases.push_back({"fir", kernels::make_fir_spec()});
+  // cfir is the kernel the kFmadd2 fusion is kept for (DESIGN.md §13).
+  cases.push_back({"cfir", kernels::make_cfir_spec()});
   cases.push_back({"mb_decode", kernels::make_mb_decode_spec()});
 
   std::vector<Result> results;

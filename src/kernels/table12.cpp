@@ -23,30 +23,30 @@ namespace {
 // farm's thread-safety audit surface — workers and the serving daemon read
 // the registry concurrently.
 const std::vector<NamedKernel> kTable = {
-      {"biquad", [] { return make_biquad_spec(); }},
-      {"fir", [] { return make_fir_spec(); }},
-      {"iir", [] { return make_iir_spec(); }},
-      {"cfir", [] { return make_cfir_spec(); }},
-      {"lms", [] { return make_lms_spec(); }},
-      {"max_search", [] { return make_max_search_spec(); }},
-      {"bitrev", [] { return make_bitrev_spec(); }},
-      {"fft_radix2", [] { return make_fft_radix2_spec(); }},
-      {"fft_radix4", [] { return make_fft_radix4_spec(); }},
-      {"idct", [] { return make_idct_spec(); }},
-      {"dct_quant", [] { return make_dct_quant_spec(); }},
-      {"vld", [] { return make_vld_spec(); }},
-      {"motion_est", [] { return make_motion_est_spec(); }},
-      {"mb_decode", [] { return make_mb_decode_spec(); }},
-      {"convolve", [] { return make_convolve_spec(); }},
-      {"color_convert", [] { return make_color_convert_spec(); }},
+    {"biquad", make_biquad_spec},
+    {"fir", make_fir_spec},
+    {"iir", make_iir_spec},
+    {"cfir", make_cfir_spec},
+    {"lms", make_lms_spec},
+    {"max_search", make_max_search_spec},
+    {"bitrev", make_bitrev_spec},
+    {"fft_radix2", make_fft_radix2_spec},
+    {"fft_radix4", make_fft_radix4_spec},
+    {"idct", make_idct_spec},
+    {"dct_quant", make_dct_quant_spec},
+    {"vld", make_vld_spec},
+    {"motion_est", make_motion_est_spec},
+    {"mb_decode", make_mb_decode_spec},
+    {"convolve", make_convolve_spec},
+    {"color_convert", make_color_convert_spec},
 };
 
 } // namespace
 
 const std::vector<NamedKernel>& table12_kernels() { return kTable; }
 
-KernelSpec table12_spec(const NamedKernel& nk) {
-  KernelSpec spec = nk.make();
+KernelSpec table12_spec(const NamedKernel& nk, u64 seed) {
+  KernelSpec spec = nk.make(seed);
   spec.name = nk.name;
   return spec;
 }

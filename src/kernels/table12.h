@@ -17,17 +17,17 @@ namespace majc::kernels {
 
 struct NamedKernel {
   const char* name;
-  KernelSpec (*make)();
+  KernelSpec (*make)(u64 seed);
 };
 
 /// The 16 kernels in canonical sweep order. The returned reference is to an
 /// immutable eagerly-initialized table (safe to share across threads).
 const std::vector<NamedKernel>& table12_kernels();
 
-/// Build `nk`'s spec with its canonical sweep name applied (the factories
-/// name specs with size tags like "fir_64tap"; sweeps and campaign JSON use
-/// the short registry name).
-KernelSpec table12_spec(const NamedKernel& nk);
+/// Build `nk`'s spec for input-data `seed` with its canonical sweep name
+/// applied (the factories name specs with size tags like "fir_64tap";
+/// sweeps and campaign JSON use the short registry name).
+KernelSpec table12_spec(const NamedKernel& nk, u64 seed = 1);
 
 /// Registry lookup by canonical name; nullptr when unknown.
 const NamedKernel* find_table12_kernel(std::string_view name);

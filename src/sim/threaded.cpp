@@ -31,14 +31,12 @@ using isa::PhysReg;
 
 // Record kinds. The X-macro keeps the enum and the computed-goto label
 // table in lockstep (a mismatch is a compile error, not a misdispatch).
-// The seven immediate-ALU kinds kAddi..kSrai must stay contiguous: the
-// pair-fusion selector is computed as (kind - kAddi).
 #define MAJC_REC_KINDS(X)                                                     \
   /* R-form ALU: a=rd, b=rs1, c=rs2 */                                        \
   X(kAdd) X(kSub) X(kAnd) X(kOr) X(kXor) X(kAndn) X(kSll) X(kSrl) X(kSra)     \
   X(kCmpeq) X(kCmpne) X(kCmplt) X(kCmple) X(kCmpltu) X(kCmpleu)               \
   X(kCmovnz) X(kCmovz) X(kPick) X(kSatadd) X(kSatsub)                         \
-  /* I-form ALU: a=rd, b=rs1, imm (contiguous; see above) */                  \
+  /* I-form ALU: a=rd, b=rs1, imm */                                          \
   X(kAddi) X(kAndi) X(kOri) X(kXori) X(kSlli) X(kSrli) X(kSrai)               \
   X(kOrlo) X(kSetImm) X(kGettick)                                             \
   /* integer multiply family: a=rd, b=rs1, c=rs2 */                           \
@@ -50,11 +48,10 @@ using isa::PhysReg;
   X(kBnz) X(kBz) X(kCallRec) X(kJmplRec) X(kHaltRec)                          \
   X(kTrapCon) X(kSettvecRec)                                                  \
   /* SIMD / FP through the per-class executors: arg = slot_ops index */      \
-  X(kSlotOp) X(kSlotOp2)                                                      \
-  /* direct SIMD / FP specializations for the Table 1/2 hot ops */            \
+  X(kSlotOp)                                                                  \
+  /* direct SIMD / FP specializations for the Table 1/2 hot ops, and the */   \
+  /* in-packet fusions of them that pay for their lines (DESIGN.md §13) */    \
   X(kDotp) X(kDotp2) X(kDotp3) X(kFmaddF32) X(kFmadd2)                        \
-  /* fused records */                                                         \
-  X(kIaluIalu) X(kAluAlu) X(kLdwAddi) X(kStwAddi) X(kAddiBnz) X(kAddiBz)      \
   /* deferred-commit parallel packet: optional mem slot 0 + slot-op slots */  \
   X(kMemSlots)                                                                \
   /* fallbacks / sentinels */                                                 \
@@ -74,30 +71,6 @@ using SlotOp = ThreadedCode::SlotOp;
 // ---------------------------------------------------------------------------
 // Translation
 // ---------------------------------------------------------------------------
-
-/// Immediate-ALU fusion selector for kIaluIalu (kind must be kAddi..kSrai).
-constexpr u8 ialu_sel(u8 kind) { return static_cast<u8>(kind - kAddi); }
-
-constexpr bool is_ialu_kind(u8 kind) { return kind >= kAddi && kind <= kSrai; }
-
-const char* ialu_name(u8 kind) {
-  static constexpr const char* kNames[] = {"addi", "andi", "ori", "xori",
-                                           "slli", "srli", "srai"};
-  return kNames[kind - kAddi];
-}
-
-/// Register-ALU fusion selector for kAluAlu (kind must be kAdd..kCmpleu;
-/// 15 kinds, so a selector still fits in a nibble).
-constexpr u8 alu_sel(u8 kind) { return static_cast<u8>(kind - kAdd); }
-
-constexpr bool is_alu_kind(u8 kind) { return kind >= kAdd && kind <= kCmpleu; }
-
-const char* alu_name(u8 kind) {
-  static constexpr const char* kNames[] = {
-      "add",   "sub",   "and",    "or",    "xor",   "andn",  "sll",   "srl",
-      "sra",   "cmpeq", "cmpne",  "cmplt", "cmple", "cmpltu", "cmpleu"};
-  return kNames[kind - kAdd];
-}
 
 /// Does slot 0 of this packet redirect control flow? Such packets execute
 /// slots 1..w-1 first and the transfer last (the transfer decides the next
@@ -333,47 +306,7 @@ int mem_kind_of(Op op) {
 /// Fuse adjacent records of one packet (the list is in execution order and
 /// already proven sequential-equivalent, so combining two neighbours into
 /// one record preserves semantics). Returns true and writes `f` on a match.
-bool fuse_pair(const Rec& x, const Rec& y, const std::vector<SlotOp>& slot_ops,
-               ShapeStats& stats, Rec& f) {
-  if (is_ialu_kind(x.kind) && is_ialu_kind(y.kind)) {
-    f = Rec{};
-    f.kind = kIaluIalu;
-    f.a = x.a;
-    f.b = x.b;
-    f.imm = x.imm;
-    f.c = y.a;
-    f.d = y.b;
-    f.imm2 = y.imm;
-    f.e = static_cast<u8>((ialu_sel(y.kind) << 4) | ialu_sel(x.kind));
-    ++stats.fused[std::string(ialu_name(x.kind)) + "+" + ialu_name(y.kind)];
-    return true;
-  }
-  if ((x.kind == kLdw || x.kind == kStw) && y.kind == kAddi) {
-    f = Rec{};
-    f.kind = x.kind == kLdw ? kLdwAddi : kStwAddi;
-    f.a = x.a;
-    f.b = x.b;
-    f.c = x.c;
-    f.imm = x.imm;
-    f.d = y.a;
-    f.e = y.b;
-    f.imm2 = y.imm;
-    ++stats.fused[std::string(x.kind == kLdw ? "ldw" : "stw") + "+addi"];
-    return true;
-  }
-  if (is_alu_kind(x.kind) && is_alu_kind(y.kind)) {
-    f = Rec{};
-    f.kind = kAluAlu;
-    f.a = x.a;
-    f.b = x.b;
-    f.c = x.c;
-    f.d = y.a;
-    f.e = y.b;
-    f.imm = y.c;
-    f.imm2 = static_cast<i32>((alu_sel(y.kind) << 4) | alu_sel(x.kind));
-    ++stats.fused[std::string(alu_name(x.kind)) + "+" + alu_name(y.kind)];
-    return true;
-  }
+bool fuse_pair(const Rec& x, const Rec& y, ShapeStats& stats, Rec& f) {
   if (x.kind == kDotp && y.kind == kDotp) {
     f = Rec{};
     f.kind = kDotp2;
@@ -408,15 +341,6 @@ bool fuse_pair(const Rec& x, const Rec& y, const std::vector<SlotOp>& slot_ops,
     ++stats.fused["fmadd+fmadd"];
     return true;
   }
-  if (x.kind == kSlotOp && y.kind == kSlotOp) {
-    f = Rec{};
-    f.kind = kSlotOp2;
-    f.arg = x.arg;
-    f.imm = static_cast<i32>(y.arg);
-    ++stats.fused[std::string(slot_ops[x.arg].in.info().mnemonic) + "+" +
-                  std::string(slot_ops[y.arg].in.info().mnemonic)];
-    return true;
-  }
   return false;
 }
 
@@ -426,13 +350,11 @@ std::string format_shape_stats(const ShapeStats& s, std::size_t top_n) {
   std::string out;
   char buf[160];
   std::snprintf(buf, sizeof buf,
-                "packets %llu  records %llu  generic %llu  fused-pairs %llu  "
-                "fused-cross %llu\n",
+                "packets %llu  records %llu  generic %llu  fused-pairs %llu\n",
                 static_cast<unsigned long long>(s.packets),
                 static_cast<unsigned long long>(s.records),
                 static_cast<unsigned long long>(s.generic_packets),
-                static_cast<unsigned long long>(s.fused_pairs),
-                static_cast<unsigned long long>(s.fused_cross));
+                static_cast<unsigned long long>(s.fused_pairs));
   out += buf;
   auto dump = [&](const char* title, const std::map<std::string, u64>& m,
                   std::size_t limit) {
@@ -460,9 +382,10 @@ ThreadedCode translate(const Program& prog) {
   const u32 n = static_cast<u32>(prog.num_packets());
   tc.stats.packets = n;
 
-  // Pass 1: lower each packet to its own record list (execution order),
-  // branch targets still expressed as packet indices.
-  std::vector<std::vector<Rec>> lists(n);
+  // Lower each packet to a run of records in execution order, branch
+  // targets still expressed as packet indices.
+  tc.entry.resize(n);
+  std::vector<Rec> out;  // the current packet's records
   for (u32 i = 0; i < n; ++i) {
     const isa::Packet& p = prog.packet(i);
     const PacketMeta& m = prog.meta(i);
@@ -487,7 +410,7 @@ ThreadedCode translate(const Program& prog) {
       for (u32 s = 0; s < p.width; ++s) order[w++] = s;
     }
 
-    std::vector<Rec>& out = lists[i];
+    out.clear();
     bool ok = sequential_ok(m, order, w);
     if (ok) {
       for (u32 s = 0; s < w && ok; ++s) {
@@ -503,23 +426,6 @@ ThreadedCode translate(const Program& prog) {
     }
     if (!ok) {
       out.clear();
-      // Parallel-safe fast path for the 2-wide immediate-ALU packets the
-      // scheduler emits with intra-packet hazards (parallel-read semantics):
-      // kIaluIalu reads both sources before writing either destination.
-      auto ikind = [](const Instr& in) -> int {
-        switch (in.op) {
-          case Op::kAddi: return kAddi;
-          case Op::kAndi: return kAndi;
-          case Op::kOri: return kOri;
-          case Op::kXori: return kXori;
-          case Op::kSlli: return kSlli;
-          case Op::kSrli: return kSrli;
-          case Op::kSrai: return kSrai;
-          default: return -1;
-        }
-      };
-      const int k0 = p.width == 2 ? ikind(p.slot[0]) : -1;
-      const int k1 = p.width == 2 ? ikind(p.slot[1]) : -1;
       // Deferred-commit parallel packet: slot 0 is a unified-addressing
       // memory op (or contributes nothing), every other slot runs through a
       // per-class executor. The slot ops evaluate into scratch effects that
@@ -550,23 +456,7 @@ ThreadedCode translate(const Program& prog) {
         }
         mem_slots_ok = mem_slots_ok && n_slot_ops > 0;
       }
-      if (k0 >= 0 && k1 >= 0) {
-        Rec f;
-        f.kind = kIaluIalu;
-        f.pc = static_cast<u32>(m.pc);
-        f.a = isa::to_phys(p.slot[0].rd, 0);
-        f.b = isa::to_phys(p.slot[0].rs1, 0);
-        f.imm = p.slot[0].imm;
-        f.c = isa::to_phys(p.slot[1].rd, 1);
-        f.d = isa::to_phys(p.slot[1].rs1, 1);
-        f.imm2 = p.slot[1].imm;
-        f.e = static_cast<u8>((ialu_sel(static_cast<u8>(k1)) << 4) |
-                              ialu_sel(static_cast<u8>(k0)));
-        out.push_back(f);
-        ++tc.stats.fused_pairs;
-        ++tc.stats.fused[std::string(ialu_name(static_cast<u8>(k0))) + "+" +
-                         ialu_name(static_cast<u8>(k1))];
-      } else if (mem_slots_ok) {
+      if (mem_slots_ok) {
         Rec f;
         f.kind = kMemSlots;
         f.pc = static_cast<u32>(m.pc);
@@ -606,7 +496,7 @@ ThreadedCode translate(const Program& prog) {
     // (dotp+dotp+dotp is the DCT kernels' signature shape).
     for (std::size_t j = 0; j + 1 < out.size();) {
       Rec f;
-      if (fuse_pair(out[j], out[j + 1], tc.slot_ops, tc.stats, f)) {
+      if (fuse_pair(out[j], out[j + 1], tc.stats, f)) {
         f.pc = out[j].pc;
         out[j] = f;
         out.erase(out.begin() + static_cast<std::ptrdiff_t>(j) + 1);
@@ -619,48 +509,17 @@ ThreadedCode translate(const Program& prog) {
     // The last-executed record retires the packet.
     out.back().pk_add = 1;
     out.back().ins_add = static_cast<u8>(m.width);
-  }
-
-  // Pass 2: cross-packet fusion of the add-immediate + conditional-branch
-  // loop idiom. The fused record is prepended at packet A's entry; A's
-  // unfused record stays behind it (the packet-cap-safe fallback) and B's
-  // records stay at B's own entry (branch targets into B keep working).
-  for (u32 i = 0; i + 1 < n; ++i) {
-    std::vector<Rec>& a = lists[i];
-    const std::vector<Rec>& b = lists[i + 1];
-    if (a.size() != 1 || b.size() != 1) continue;
-    if (a[0].kind != kAddi || (b[0].kind != kBnz && b[0].kind != kBz)) continue;
-    if (prog.meta(i).next_index != i + 1) continue;
-    if (a[0].a == 0 || a[0].a != b[0].a) continue;  // branch reads the sum
-    if (b[0].arg == kNoPacketIndex) continue;       // taken target translated
-    if (prog.meta(i + 1).next_index == kNoPacketIndex) continue;
-    Rec f;
-    f.kind = b[0].kind == kBnz ? kAddiBnz : kAddiBz;
-    f.pc = a[0].pc;
-    f.a = a[0].a;
-    f.b = a[0].b;
-    f.imm = a[0].imm;
-    f.arg = b[0].arg;  // taken packet index; patched below
-    f.imm2 = static_cast<i32>(prog.meta(i + 1).next_index);  // not-taken pkt
-    f.pk_add = 2;
-    f.ins_add = 2;
-    a.insert(a.begin(), f);
-    ++tc.stats.fused_cross;
-    ++tc.stats.fused[b[0].kind == kBnz ? "addi+bnz" : "addi+bz"];
-  }
-
-  // Pass 3: concatenate and patch packet indices to record indices.
-  tc.entry.resize(n);
-  for (u32 i = 0; i < n; ++i) {
     tc.entry[i] = static_cast<u32>(tc.recs.size());
-    tc.recs.insert(tc.recs.end(), lists[i].begin(), lists[i].end());
+    tc.recs.insert(tc.recs.end(), out.begin(), out.end());
   }
+
   Rec end;
   end.kind = kEndOfCode;
   end.pc = static_cast<u32>(n == 0 ? prog.image().code_base
                                    : prog.meta(n - 1).fall_through);
   tc.recs.push_back(end);
 
+  // Patch packet indices to record indices now that every entry is known.
   for (Rec& r : tc.recs) {
     switch (r.kind) {
       case kBnz:
@@ -668,11 +527,6 @@ ThreadedCode translate(const Program& prog) {
       case kCallRec:
       case kGenericPacket:
         r.arg = r.arg < n ? tc.entry[r.arg] : kNoRec;
-        break;
-      case kAddiBnz:
-      case kAddiBz:
-        r.arg = tc.entry[r.arg];
-        r.imm2 = static_cast<i32>(tc.entry[static_cast<u32>(r.imm2)]);
         break;
       default:
         break;
@@ -798,54 +652,10 @@ void exec_mem_slot(ExecCtx& cx, CpuState& st, const Rec* rp) {
   }
 }
 
-inline u32 alu_eval(u32 sel, u32 x, u32 y) {
-  switch (sel) {
-    case 0: return x + y;
-    case 1: return x - y;
-    case 2: return x & y;
-    case 3: return x | y;
-    case 4: return x ^ y;
-    case 5: return x & ~y;
-    case 6: return x << (y & 31);
-    case 7: return x >> (y & 31);
-    case 8: return static_cast<u32>(static_cast<i32>(x) >> (y & 31));
-    case 9: return x == y ? 1 : 0;
-    case 10: return x != y ? 1 : 0;
-    case 11: return static_cast<i32>(x) < static_cast<i32>(y) ? 1 : 0;
-    case 12: return static_cast<i32>(x) <= static_cast<i32>(y) ? 1 : 0;
-    case 13: return x < y ? 1 : 0;
-    default: return x <= y ? 1 : 0;
-  }
-}
-
-inline u32 ialu_eval(u32 sel, u32 a, i32 imm) {
-  switch (sel) {
-    case 0: return a + static_cast<u32>(imm);
-    case 1: return a & static_cast<u32>(imm);
-    case 2: return a | static_cast<u32>(imm);
-    case 3: return a ^ static_cast<u32>(imm);
-    case 4: return a << (static_cast<u32>(imm) & 31);
-    case 5: return a >> (static_cast<u32>(imm) & 31);
-    default:
-      return static_cast<u32>(static_cast<i32>(a) >>
-                              (static_cast<u32>(imm) & 31));
-  }
-}
-
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(MAJC_THREADED_SWITCH_DISPATCH)
-#define MAJC_COMPUTED_GOTO 1
-#else
-#define MAJC_COMPUTED_GOTO 0
-#endif
-
-#if MAJC_COMPUTED_GOTO
+// Computed-goto dispatch (labels-as-values; the build supports only GCC and
+// Clang, which both provide it): CASE(k) is the handler label of kind k.
 #define CASE(k) L_##k
 #define DISPATCH() goto* kLbl[rp->kind]
-#else
-#define CASE(k) case k
-#define DISPATCH() continue
-#endif
 
 // Retire the packet this record completes (interior records carry
 // pk_add == 0) and fall through to the next record. On a cap exit st.pc is
@@ -910,17 +720,12 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
   const Rec* rp = recs + start_rec;
   CpuState& st = cx.st;
 
-#if MAJC_COMPUTED_GOTO
   static const void* const kLbl[] = {
 #define MAJC_KIND_LBL(k) &&L_##k,
       MAJC_REC_KINDS(MAJC_KIND_LBL)
 #undef MAJC_KIND_LBL
   };
   DISPATCH();
-#else
-  for (;;) {
-    switch (static_cast<Kind>(rp->kind)) {
-#endif
 
   CASE(kAdd): {
     st.write(rp->a, st.read(rp->b) + st.read(rp->c));
@@ -1334,11 +1139,6 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     run_slot_op(cx, rp->arg);
     RETIRE_NEXT();
   }
-  CASE(kSlotOp2): {
-    run_slot_op(cx, rp->arg);
-    run_slot_op(cx, static_cast<u32>(rp->imm));
-    RETIRE_NEXT();
-  }
   CASE(kDotp): {
     st.write(rp->a, dotp_eval(st.read(rp->a), st.read(rp->b), st.read(rp->c)));
     RETIRE_NEXT();
@@ -1373,16 +1173,6 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
              fmadd_eval(st.read(rp->d), st.read(rp->e), st.read(r2)));
     RETIRE_NEXT();
   }
-  CASE(kAluAlu): {
-    // Parallel-read form (safe for hazardful pairs as well).
-    const u32 sels = static_cast<u32>(rp->imm2);
-    const u32 v1 = alu_eval(sels & 15, st.read(rp->b), st.read(rp->c));
-    const u32 v2 = alu_eval((sels >> 4) & 15, st.read(rp->e),
-                            st.read(static_cast<PhysReg>(rp->imm)));
-    st.write(rp->a, v1);
-    st.write(rp->d, v2);
-    RETIRE_NEXT();
-  }
   CASE(kMemSlots): {
     // Parallel-read packet with deferred commit: slot ops evaluate into
     // scratch effects against pre-packet state; the trap-capable memory op
@@ -1393,78 +1183,6 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     if (rp->d != 0xFF) exec_mem_slot(cx, st, rp);
     for (const WriteBack& wb : fx.writes) st.write(wb.reg, wb.value);
     RETIRE_NEXT();
-  }
-  CASE(kIaluIalu): {
-    // Parallel-read form: both sources read before either write commits.
-    const u32 v1 = ialu_eval(rp->e & 15, st.read(rp->b), rp->imm);
-    const u32 v2 = ialu_eval(rp->e >> 4, st.read(rp->d), rp->imm2);
-    st.write(rp->a, v1);
-    st.write(rp->c, v2);
-    RETIRE_NEXT();
-  }
-  CASE(kLdwAddi): {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    u32 v;
-    if ((ea & 3) == 0 && static_cast<i64>(ea) <= cx.lim4) [[likely]] {
-      std::memcpy(&v, cx.mbase + ea, 4);
-    } else {
-      st.pc = rp->pc;
-      v = cx.env.mem.read_u32(ea);
-    }
-    const u32 v2 = st.read(rp->e) + static_cast<u32>(rp->imm2);
-    st.write(rp->a, v);
-    st.write(rp->d, v2);
-    RETIRE_NEXT();
-  }
-  CASE(kStwAddi): {
-    const u32 ea = st.read(rp->b) + st.read(rp->c) + static_cast<u32>(rp->imm);
-    if ((ea & 3) == 0 && static_cast<i64>(ea) <= cx.lim4) [[likely]] {
-      const u32 v = st.read(rp->a);
-      std::memcpy(cx.mbase + ea, &v, 4);
-    } else {
-      st.pc = rp->pc;
-      cx.env.mem.write_u32(ea, st.read(rp->a));
-    }
-    st.write(rp->d, st.read(rp->e) + static_cast<u32>(rp->imm2));
-    RETIRE_NEXT();
-  }
-  CASE(kAddiBnz): {
-    if (cx.res.packets + 2 > cx.max_packets) {
-      ++rp;  // cap too close to retire both: run the unfused lowering
-      DISPATCH();
-    }
-    const u32 v = st.read(rp->b) + static_cast<u32>(rp->imm);
-    st.write(rp->a, v);
-    cx.res.packets += 2;
-    cx.packets_run += 2;
-    cx.res.instrs += rp->ins_add;
-    cx.instrs_run += rp->ins_add;
-    const Rec* nx = recs + (v != 0 ? rp->arg : static_cast<u32>(rp->imm2));
-    if (cx.res.packets >= cx.max_packets) {
-      st.pc = nx->pc;
-      return;
-    }
-    rp = nx;
-    DISPATCH();
-  }
-  CASE(kAddiBz): {
-    if (cx.res.packets + 2 > cx.max_packets) {
-      ++rp;
-      DISPATCH();
-    }
-    const u32 v = st.read(rp->b) + static_cast<u32>(rp->imm);
-    st.write(rp->a, v);
-    cx.res.packets += 2;
-    cx.packets_run += 2;
-    cx.res.instrs += rp->ins_add;
-    cx.instrs_run += rp->ins_add;
-    const Rec* nx = recs + (v == 0 ? rp->arg : static_cast<u32>(rp->imm2));
-    if (cx.res.packets >= cx.max_packets) {
-      st.pc = nx->pc;
-      return;
-    }
-    rp = nx;
-    DISPATCH();
   }
   CASE(kNopRec): {
     RETIRE_NEXT();
@@ -1501,12 +1219,6 @@ void exec_records(ExecCtx& cx, u32 start_rec) {
     cx.prog.index_of(st.pc);  // always throws (translated once, immutable)
     return;                   // unreachable
   }
-
-#if !MAJC_COMPUTED_GOTO
-    default: return;  // unreachable: translate emits only known kinds
-    }
-  }
-#endif
 }
 
 #undef CASE

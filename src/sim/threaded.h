@@ -6,9 +6,9 @@
 // target, so instead of re-interpreting packets through the generic
 // execute_packet switch, a one-time translation pass lowers each packet into
 // a short run of fixed-size dispatch records ("threaded code"). A
-// computed-goto inner loop (labels-as-values on GCC/Clang, plain switch
-// elsewhere) then executes records back-to-back with no per-packet virtual
-// dispatch, meta lookup, or SlotEffects marshalling.
+// computed-goto inner loop (labels-as-values; GCC and Clang) then executes
+// records back-to-back with no per-packet virtual dispatch, meta lookup, or
+// SlotEffects marshalling.
 //
 // Translation is purely host-side: guest-visible state (registers, memory,
 // traps, checkpoints, arch_digest, stats) is bit-identical to the
@@ -25,11 +25,10 @@
 //  * Trap-capable slot-0 ops (memory, div) execute first, so a trapping
 //    packet commits nothing — the interpreter's precise-trap contract.
 //    Control transfers execute last, after the other slots committed.
-//  * Macro-op fusion collapses the shapes the Table 1/2 kernels actually
-//    emit: immediate-ALU pairs, load/store + pointer-increment, SIMD/FP slot
-//    pairs, and the cross-packet add-immediate + conditional-branch loop
-//    idiom (the unfused lowering stays in place as the packet-cap-safe
-//    fallback and as the branch-target entry).
+//  * dotp and fmadd get direct records, and adjacent ones inside a packet
+//    fuse (dotp pairs and triples, fmadd pairs). These are the only fusions
+//    kept: each other family was ablated per kernel and bought nothing
+//    measurable. Every record belongs to exactly one packet.
 #pragma once
 
 #include <cstddef>
@@ -49,13 +48,12 @@ class Program;
 inline constexpr u32 kNoRec = ~u32{0};
 
 /// Static translation statistics: what the 16 kernels' packets look like and
-/// which fusion rules fired (satellite: --shape-stats).
+/// which fusion rules fired (majc_run --shape-stats).
 struct ShapeStats {
   u64 packets = 0;          // packets translated
   u64 records = 0;          // dispatch records emitted
   u64 generic_packets = 0;  // packets lowered to kGenericPacket
   u64 fused_pairs = 0;      // intra-packet pair fusions
-  u64 fused_cross = 0;      // cross-packet addi+branch fusions
   /// Packet shape (slot mnemonics joined with '+') -> static occurrence
   /// count. std::map keeps the output deterministic.
   std::map<std::string, u64> shapes;
@@ -72,7 +70,7 @@ struct ThreadedCode {
   /// One dispatch record. 24 bytes, meaning depends on `kind`; `pc` is the
   /// owning packet's address (trap context / cap-exit pc), `pk_add` /
   /// `ins_add` are the retire increments carried by the last record of each
-  /// packet (0 on interior records; 2 on cross-packet fused records).
+  /// packet (0 on interior records).
   struct Rec {
     u8 kind = 0;
     u8 a = 0, b = 0, c = 0, d = 0, e = 0;  // physical registers / selectors

@@ -4,31 +4,20 @@
 // guest-visible state — registers and memory (arch_digest), trap codes and
 // detail strings, console output, retire statistics and checkpoint bytes —
 // across all 16 Table 1/2 kernels, fatal and recovered traps, a seeded
-// fault-config job matrix through the farm, and checkpoints saved mid-run
-// inside a fused superblock and restored into the *other* backend.
+// fault-config job matrix through the farm, and checkpoints saved mid-loop
+// (around a packet the translator hands to the generic fallback) and
+// restored into the *other* backend.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "src/farm/farm.h"
-#include "src/kernels/biquad.h"
-#include "src/kernels/bitrev.h"
-#include "src/kernels/cfir.h"
-#include "src/kernels/color_convert.h"
-#include "src/kernels/convolve.h"
-#include "src/kernels/dct_quant.h"
-#include "src/kernels/fft.h"
-#include "src/kernels/fir.h"
-#include "src/kernels/idct.h"
 #include "src/kernels/kernel.h"
-#include "src/kernels/lms.h"
-#include "src/kernels/max_search.h"
-#include "src/kernels/mb_decode.h"
-#include "src/kernels/motion_est.h"
-#include "src/kernels/vld.h"
+#include "src/kernels/table12.h"
 #include "src/masm/assembler.h"
 #include "src/sim/functional_sim.h"
+#include "src/sim/threaded.h"
 #include "src/support/checkpoint.h"
 
 namespace majc {
@@ -37,33 +26,6 @@ namespace {
 using masm::assemble_or_throw;
 using sim::ExecBackend;
 using sim::FunctionalSim;
-
-struct NamedKernel {
-  const char* name;
-  kernels::KernelSpec (*make)();
-};
-
-std::vector<NamedKernel> table12_kernels() {
-  using namespace kernels;
-  return {
-      {"biquad", [] { return make_biquad_spec(); }},
-      {"fir", [] { return make_fir_spec(); }},
-      {"iir", [] { return make_iir_spec(); }},
-      {"cfir", [] { return make_cfir_spec(); }},
-      {"lms", [] { return make_lms_spec(); }},
-      {"max_search", [] { return make_max_search_spec(); }},
-      {"bitrev", [] { return make_bitrev_spec(); }},
-      {"fft_radix2", [] { return make_fft_radix2_spec(); }},
-      {"fft_radix4", [] { return make_fft_radix4_spec(); }},
-      {"idct", [] { return make_idct_spec(); }},
-      {"dct_quant", [] { return make_dct_quant_spec(); }},
-      {"vld", [] { return make_vld_spec(); }},
-      {"motion_est", [] { return make_motion_est_spec(); }},
-      {"mb_decode", [] { return make_mb_decode_spec(); }},
-      {"convolve", [] { return make_convolve_spec(); }},
-      {"color_convert", [] { return make_color_convert_spec(); }},
-  };
-}
 
 struct Outcome {
   kernels::KernelRun run;
@@ -85,10 +47,17 @@ Outcome run_kernel_with(const sim::ProgramRef& prog,
 // ----------------------------------------------- the 16-kernel sweep
 
 TEST(BackendEquiv, AllTable12KernelsBitIdentical) {
-  for (const NamedKernel& nk : table12_kernels()) {
-    const kernels::KernelSpec spec = nk.make();
+  for (const kernels::NamedKernel& nk : kernels::table12_kernels()) {
+    const kernels::KernelSpec spec = kernels::table12_spec(nk);
     const sim::ProgramRef prog =
         sim::make_program(assemble_or_throw(spec.source));
+    // Translator fallback count, a static and noise-free property: only
+    // max_search's `fcmplt gX | cmovnz ..., gX` packets (the cmovnz reads
+    // the old gX under parallel-read semantics) reach kGenericPacket.
+    const std::string name = nk.name;
+    EXPECT_EQ(prog->threaded().stats.generic_packets,
+              name == "max_search" ? 36u : 0u)
+        << nk.name;
     const Outcome a = run_kernel_with(prog, spec, ExecBackend::kInterp);
     const Outcome b = run_kernel_with(prog, spec, ExecBackend::kThreaded);
     EXPECT_TRUE(b.run.valid) << nk.name << ": " << b.run.message;
@@ -112,7 +81,7 @@ TEST(BackendEquiv, AllTable12KernelsBitIdentical) {
 // the trap (precise-trap equivalence).
 TEST(BackendEquiv, FatalTrapCodesAndDetailsMatch) {
   const char* programs[] = {
-      // Misaligned load (also exercised inside a fuseable packet run).
+      // Misaligned load after a multi-slot ALU packet.
       R"(
         setlo g3, 4097
         setlo g4, 1
@@ -223,10 +192,8 @@ TEST(BackendEquiv, SeededFarmSweepMatchesAcrossBackends) {
   for (const ExecBackend backend :
        {ExecBackend::kInterp, ExecBackend::kThreaded}) {
     farm::Engine eng;
-    for (const NamedKernel& nk : table12_kernels()) {
-      kernels::KernelSpec spec = nk.make();
-      spec.name = nk.name;
-      eng.add_kernel(std::move(spec));
+    for (const kernels::NamedKernel& nk : kernels::table12_kernels()) {
+      eng.add_kernel(kernels::table12_spec(nk));
     }
     for (u32 ki = 0; ki < eng.num_kernels(); ++ki) {
       for (u64 it = 0; it < 2; ++it) {
@@ -255,10 +222,13 @@ TEST(BackendEquiv, SeededFarmSweepMatchesAcrossBackends) {
 
 // --------------------------------- checkpoints across the backend seam
 
-// A tight store loop whose back edge is the translator's favourite fusion
-// target (addi feeding bnz in consecutive packets), so a mid-run packet
-// cap lands inside a fused superblock region.
-constexpr const char* kFuseLoopProg = R"(
+// A tight store loop whose body holds a 2-wide immediate-ALU packet with an
+// intra-packet hazard: slot 1 reads the g7 that slot 0 writes, so
+// parallel-read semantics hand it the old g7. No sequential order of the
+// two slots is equivalent, so the threaded backend runs that packet through
+// the generic execute_packet fallback. The mid-run caps below stop just
+// before it (101), just after it (102) and elsewhere in the loop.
+constexpr const char* kHazardLoopProg = R"(
     .data
   buf: .space 1024
     .code
@@ -269,6 +239,7 @@ constexpr const char* kFuseLoopProg = R"(
   fill:
     stwi g6, g3, 0
     addi g6, g6, 3 | addi g3, g3, 4
+    addi g7, g8, 1 | addi g8, g7, 2
     addi g5, g5, -1
     bnz g5, fill
     halt
@@ -278,7 +249,8 @@ TEST(BackendEquiv, MidRunStateBitIdenticalIncludingCheckpointBytes) {
   // Stop both backends at the same mid-loop packet counts; the serialized
   // checkpoints (headers, registers, memory, counters) must be
   // byte-identical — the backend is host-side and outside the format.
-  const masm::Image img = assemble_or_throw(kFuseLoopProg);
+  const masm::Image img = assemble_or_throw(kHazardLoopProg);
+  ASSERT_EQ(sim::make_program(img)->threaded().stats.generic_packets, 1u);
   for (const u64 cap : {5ull, 101ull, 102ull, 103ull, 250ull}) {
     FunctionalSim a(img);
     a.set_backend(ExecBackend::kInterp);
@@ -294,16 +266,16 @@ TEST(BackendEquiv, MidRunStateBitIdenticalIncludingCheckpointBytes) {
   }
 }
 
-TEST(BackendEquiv, CheckpointCrossesBackendsMidSuperblock) {
+TEST(BackendEquiv, CheckpointCrossesBackendsMidLoop) {
   // Unbroken reference run (interpreter).
-  const masm::Image img = assemble_or_throw(kFuseLoopProg);
+  const masm::Image img = assemble_or_throw(kHazardLoopProg);
   FunctionalSim ref(img);
   ref.set_backend(ExecBackend::kInterp);
   const sim::RunResult rr = ref.run();
   ASSERT_TRUE(rr.halted);
   const u64 ref_digest = ckpt::arch_digest(ref);
 
-  // threaded -> checkpoint mid-superblock -> restore -> interp finishes.
+  // threaded -> checkpoint mid-loop -> restore -> interp finishes.
   {
     FunctionalSim first(img);
     first.set_backend(ExecBackend::kThreaded);

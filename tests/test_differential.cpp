@@ -10,20 +10,7 @@
 #include <span>
 #include <tuple>
 
-#include "src/kernels/biquad.h"
-#include "src/kernels/bitrev.h"
-#include "src/kernels/cfir.h"
-#include "src/kernels/color_convert.h"
-#include "src/kernels/convolve.h"
-#include "src/kernels/dct_quant.h"
-#include "src/kernels/fft.h"
-#include "src/kernels/fir.h"
-#include "src/kernels/idct.h"
-#include "src/kernels/lms.h"
-#include "src/kernels/max_search.h"
-#include "src/kernels/mb_decode.h"
-#include "src/kernels/motion_est.h"
-#include "src/kernels/vld.h"
+#include "src/kernels/table12.h"
 #include "src/masm/assembler.h"
 #include "src/sim/functional_sim.h"
 #include "src/soc/chip.h"
@@ -149,39 +136,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Differential,
 // the packet/instruction counts must match, and the kernel's own golden
 // validation must pass on both.
 
-using SpecFactory = kernels::KernelSpec (*)(u64);
-
-struct KernelCase {
-  const char* name;
-  SpecFactory make;
-};
-
-const KernelCase kKernelCases[] = {
-    {"idct", kernels::make_idct_spec},
-    {"dct_quant", kernels::make_dct_quant_spec},
-    {"vld", kernels::make_vld_spec},
-    {"motion_est", kernels::make_motion_est_spec},
-    {"convolve", kernels::make_convolve_spec},
-    {"color_convert", kernels::make_color_convert_spec},
-    {"mb_decode", kernels::make_mb_decode_spec},
-    {"fir", kernels::make_fir_spec},
-    {"iir", kernels::make_iir_spec},
-    {"biquad", kernels::make_biquad_spec},
-    {"cfir", kernels::make_cfir_spec},
-    {"lms", kernels::make_lms_spec},
-    {"max_search", kernels::make_max_search_spec},
-    {"fft_radix2", kernels::make_fft_radix2_spec},
-    {"fft_radix4", kernels::make_fft_radix4_spec},
-    {"bitrev", kernels::make_bitrev_spec},
-};
-
 class KernelDifferential
     : public ::testing::TestWithParam<std::tuple<int, u64>> {};
 
 TEST_P(KernelDifferential, KernelsComputeIdenticalStateFromRandomMachineState) {
   const auto [kernel_index, seed] = GetParam();
-  const KernelCase& kc = kKernelCases[kernel_index];
-  const kernels::KernelSpec spec = kc.make(seed);
+  const kernels::NamedKernel& kc = kernels::table12_kernels()[kernel_index];
+  const kernels::KernelSpec spec = kernels::table12_spec(kc, seed);
 
   constexpr std::size_t kMemBytes = 8u << 20;
   sim::FunctionalSim fsim(masm::assemble_or_throw(spec.source), kMemBytes);
@@ -253,11 +214,12 @@ TEST_P(KernelDifferential, KernelsComputeIdenticalStateFromRandomMachineState) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, KernelDifferential,
-    ::testing::Combine(::testing::Range(0, static_cast<int>(std::size(
-                                               kKernelCases))),
-                       ::testing::Values<u64>(2, 3)),
+    ::testing::Combine(
+        ::testing::Range(0, static_cast<int>(kernels::table12_kernels().size())),
+        ::testing::Values<u64>(2, 3)),
     [](const ::testing::TestParamInfo<std::tuple<int, u64>>& info) {
-      return std::string(kKernelCases[std::get<0>(info.param)].name) + "_seed" +
+      const int k = std::get<0>(info.param);
+      return std::string(kernels::table12_kernels()[k].name) + "_seed" +
              std::to_string(std::get<1>(info.param));
     });
 
