@@ -2,8 +2,8 @@
 // second the interpreters sustain. Runs guest workloads (IDCT, FIR, complex
 // FIR, the mb_decode macroblock pipeline, and a dual-CPU sum-of-products
 // chip run) under the instruction-accurate and cycle-accurate models, timing
-// the run loop only — sim construction (dominated by zeroing guest memory)
-// is kept off the clock so the numbers track the interpreter hot path.
+// the run loop only — sim construction is kept off the clock so the numbers
+// track the interpreter hot path.
 //
 // Output: a human-readable table on stdout and BENCH_host.json (see --out).
 // With --baseline=<json from a previous run>, exits 1 if any baseline
@@ -37,8 +37,7 @@ namespace {
 using namespace majc;
 
 // Guest memory for benchmark runs: big enough for every workload (the chip
-// workload's input block sits at 2 MB), small enough that the per-rep
-// construction memset stays cheap.
+// workload's input block sits at 2 MB).
 constexpr std::size_t kMemBytes = 8u << 20;
 
 struct Sample {
@@ -93,7 +92,7 @@ Sample run_functional(const sim::ProgramRef& prog,
                       const kernels::KernelSpec& spec, sim::ExecBackend be) {
   // Shared predecode (and, for the threaded backend, the per-Program
   // translation cache warmed once by the caller): construction per rep only
-  // re-zeroes the arena, mirroring the farm's machine-reuse path.
+  // maps a fresh arena and loads the image.
   sim::FunctionalSim sim(prog, kMemBytes);
   sim.set_backend(be);
   if (spec.setup) spec.setup(sim.memory(), sim.program().image());

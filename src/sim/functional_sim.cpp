@@ -1,6 +1,5 @@
 #include "src/sim/functional_sim.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "src/isa/disasm.h"
@@ -105,11 +104,10 @@ FunctionalSim::FunctionalSim(ProgramRef program, std::size_t mem_bytes)
 
 void FunctionalSim::reset(ProgramRef program) {
   if (program) program_ = std::move(program);
-  // Reuse the arena: re-zero it instead of reallocating (the construction
-  // cost the farm's per-worker machine reuse avoids), then reload the image
-  // and restore the constructed-state invariants exactly.
-  auto raw = mem_.raw();
-  std::fill(raw.begin(), raw.end(), u8{0});
+  // Reuse the arena: clear() zeroes only the pages the last run left
+  // non-zero, then the image is reloaded and the constructed-state
+  // invariants restored exactly.
+  mem_.clear();
   load_image(program_->image(), mem_);
   state_ = CpuState{};
   state_.pc = program_->image().entry;

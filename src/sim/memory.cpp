@@ -1,8 +1,13 @@
 #include "src/sim/memory.h"
 
+#include <sys/mman.h>
+
+#include <cerrno>
 #include <cstring>
 #include <string>
+#include <utility>
 
+#include "src/support/error.h"
 #include "src/support/trap.h"
 
 namespace majc::sim {
@@ -74,20 +79,61 @@ void MemoryBus::write_u64(Addr a, u64 v) {
   write(a, b);
 }
 
+FlatMemory::FlatMemory(std::size_t bytes) : size_(bytes) {
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) {
+    fail("memory: cannot map a " + std::to_string(bytes) +
+         "-byte arena: " + std::strerror(errno));
+  }
+  // Keep residency at 4 KB granularity where the host would otherwise back
+  // a touched region with 2 MB pages (advisory; a refusal changes nothing).
+  madvise(p, bytes, MADV_NOHUGEPAGE);
+  base_ = static_cast<u8*>(p);
+}
+
+FlatMemory::~FlatMemory() {
+  if (base_ != nullptr) munmap(base_, size_);
+}
+
+FlatMemory::FlatMemory(FlatMemory&& o) noexcept
+    : base_(std::exchange(o.base_, nullptr)),
+      size_(std::exchange(o.size_, 0)) {}
+
+FlatMemory& FlatMemory::operator=(FlatMemory&& o) noexcept {
+  if (this != &o) {
+    if (base_ != nullptr) munmap(base_, size_);
+    base_ = std::exchange(o.base_, nullptr);
+    size_ = std::exchange(o.size_, 0);
+  }
+  return *this;
+}
+
+bool FlatMemory::is_zero(std::span<const u8> page) {
+  static constexpr u8 kZeroPage[kPageBytes] = {};
+  return std::memcmp(page.data(), kZeroPage, page.size()) == 0;
+}
+
+void FlatMemory::clear() {
+  for_each_nonzero_page([this](std::size_t off, std::span<const u8> page) {
+    std::memset(base_ + off, 0, page.size());
+  });
+}
+
 void FlatMemory::read(Addr addr, std::span<u8> out) {
-  if (addr + out.size() > bytes_.size()) {
+  if (addr + out.size() > size_) {
     raise_trap(TrapCause::kOutOfBounds,
                "memory read out of bounds at address " + std::to_string(addr));
   }
-  std::memcpy(out.data(), bytes_.data() + addr, out.size());
+  std::memcpy(out.data(), base_ + addr, out.size());
 }
 
 void FlatMemory::write(Addr addr, std::span<const u8> in) {
-  if (addr + in.size() > bytes_.size()) {
+  if (addr + in.size() > size_) {
     raise_trap(TrapCause::kOutOfBounds,
                "memory write out of bounds at address " + std::to_string(addr));
   }
-  std::memcpy(bytes_.data() + addr, in.data(), in.size());
+  std::memcpy(base_ + addr, in.data(), in.size());
 }
 
 } // namespace majc::sim

@@ -46,12 +46,11 @@ void Majc5200::init(const TimingConfig& cfg) {
 
 void Majc5200::reset(sim::ProgramRef program, const TimingConfig& cfg) {
   if (program) prog_ = std::move(program);
-  // Reuse the arena: re-zero it instead of reallocating 32 MB of fresh
-  // pages per job, then rebuild the machine around it. Everything except
-  // the arena's allocation is reconstructed, so a reset machine reproduces
-  // a fresh machine's run bit-for-bit (tests/test_farm.cpp asserts this).
-  auto raw = mem_.raw();
-  std::fill(raw.begin(), raw.end(), u8{0});
+  // Reuse the arena: clear() zeroes only the pages the last job left
+  // non-zero, then the machine is rebuilt around it. Everything except the
+  // arena's mapping is reconstructed, so a reset machine reproduces a fresh
+  // machine's run bit-for-bit (tests/test_farm.cpp asserts this).
+  mem_.clear();
   init(cfg);
 }
 

@@ -320,24 +320,18 @@ void restore_state(ckpt::Reader& r, sim::CpuState& st) {
 }
 
 // Flat memory, sparse: all-zero 4 KB pages are elided; a ~0 page index
-// terminates the page list. Restore zero-fills first, so the elided pages
-// come back exactly as written.
-constexpr std::size_t kPageBytes = 4096;
+// terminates the page list. Restore clears the arena first, so the elided
+// pages come back exactly as written; both sides touch only non-zero pages.
+constexpr std::size_t kPageBytes = sim::FlatMemory::kPageBytes;
 
 void save_memory(ckpt::Writer& w, const sim::FlatMemory& m) {
   w.put_tag("MEM ");
-  const std::span<const u8> raw = m.raw();
-  w.put_u64(raw.size());
-  for (std::size_t p = 0; p * kPageBytes < raw.size(); ++p) {
-    const std::size_t off = p * kPageBytes;
-    const std::span<const u8> page =
-        raw.subspan(off, std::min(kPageBytes, raw.size() - off));
-    if (std::all_of(page.begin(), page.end(), [](u8 b) { return b == 0; }))
-      continue;
-    w.put_u64(p);
+  w.put_u64(m.size());
+  m.for_each_nonzero_page([&w](std::size_t off, std::span<const u8> page) {
+    w.put_u64(off / kPageBytes);
     w.put_u32(static_cast<u32>(page.size()));
     w.put_bytes(page);
-  }
+  });
   w.put_u64(~u64{0});
 }
 
@@ -346,7 +340,7 @@ void restore_memory(ckpt::Reader& r, sim::FlatMemory& m) {
   const std::span<u8> raw = m.raw();
   if (r.get_u64() != raw.size())
     throw Error("checkpoint: memory size mismatch");
-  std::fill(raw.begin(), raw.end(), u8{0});
+  m.clear();
   for (;;) {
     const u64 p = r.get_u64();
     if (p == ~u64{0}) break;
@@ -817,6 +811,28 @@ namespace majc::ckpt {
 
 namespace {
 
+constexpr std::size_t kPageBytes = sim::FlatMemory::kPageBytes;
+
+// FNV-1a maps a zero byte h -> h * P, so an all-zero 4 KB page hashes to
+// h * P^4096: one multiply instead of 4096.
+constexpr u64 kFnvPrimePage = [] {
+  u64 p = 1;
+  for (std::size_t i = 0; i < kPageBytes; ++i) p *= kFnvPrime;
+  return p;
+}();
+
+/// fnv_bytes over the whole arena, visiting only its non-zero pages.
+void fnv_memory(u64& h, const sim::FlatMemory& m) {
+  std::size_t done = 0;  // bytes hashed so far; every gap is whole pages
+  m.for_each_nonzero_page([&](std::size_t off, std::span<const u8> page) {
+    for (; done < off; done += kPageBytes) h *= kFnvPrimePage;
+    fnv_bytes(h, page);
+    done = off + page.size();
+  });
+  for (; done + kPageBytes <= m.size(); done += kPageBytes) h *= kFnvPrimePage;
+  fnv_bytes(h, m.raw().subspan(done));  // a short all-zero tail page
+}
+
 void fnv_state(u64& h, const sim::CpuState& st) {
   for (u32 v : st.regs) fnv_u64(h, v);
   fnv_u64(h, st.pc);
@@ -826,14 +842,14 @@ void fnv_state(u64& h, const sim::CpuState& st) {
 
 u64 arch_digest(const sim::FunctionalSim& s) {
   u64 h = kFnvOffset;
-  fnv_bytes(h, s.memory().raw());
+  fnv_memory(h, s.memory());
   fnv_state(h, s.state());
   return h;
 }
 
 u64 arch_digest(const soc::Majc5200& s) {
   u64 h = kFnvOffset;
-  fnv_bytes(h, s.memory().raw());
+  fnv_memory(h, s.memory());
   for (u32 c = 0; c < s.num_cpus(); ++c)
     for (u32 t = 0; t < s.cpu(c).hw_threads(); ++t)
       fnv_state(h, s.cpu(c).state(t));

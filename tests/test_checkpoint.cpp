@@ -4,10 +4,17 @@
 // in all three modes, including under fault injection.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <exception>
+#include <fstream>
+#include <type_traits>
+#include <utility>
 
+#include "src/kernels/table12.h"
 #include "src/masm/assembler.h"
 #include "src/sim/functional_sim.h"
 #include "src/soc/chip.h"
@@ -382,6 +389,203 @@ TEST(Ckpt, MutatedCheckpointsRestoreOrThrowError) {
       }
     }
     EXPECT_GT(errors, 200u);  // truncations alone fail 200 times
+  }
+}
+
+// --------------------------------------------- sparse arena digest and save
+
+/// arch_digest's definition written without its zero-page shortcut:
+/// byte-wise FNV-1a over the whole arena, then each CPU state's registers
+/// and pc as little-endian u64s.
+u64 reference_digest(std::span<const u8> arena,
+                     const std::vector<const sim::CpuState*>& states) {
+  u64 h = 1469598103934665603ull;
+  auto mix = [&h](u8 b) {
+    h ^= b;
+    h *= 1099511628211ull;
+  };
+  auto mix64 = [&mix](u64 v) {
+    for (int i = 0; i < 8; ++i) mix(static_cast<u8>(v >> (8 * i)));
+  };
+  for (u8 b : arena) mix(b);
+  for (const sim::CpuState* st : states) {
+    for (u32 r : st->regs) mix64(r);
+    mix64(st->pc);
+  }
+  return h;
+}
+
+u64 reference_digest(const sim::FunctionalSim& s) {
+  return reference_digest(s.memory().raw(), {&s.state()});
+}
+
+u64 reference_digest(const soc::Majc5200& m) {
+  std::vector<const sim::CpuState*> states;
+  for (u32 c = 0; c < m.num_cpus(); ++c)
+    for (u32 t = 0; t < m.cpu(c).hw_threads(); ++t)
+      states.push_back(&m.cpu(c).state(t));
+  return reference_digest(m.memory().raw(), states);
+}
+
+/// The digest equals the byte-wise reference, and save -> clear() ->
+/// restore (or save -> scribble -> restore) brings the arena back byte for
+/// byte.
+template <class Machine>
+void expect_sparse_arena_exact(Machine& m) {
+  EXPECT_EQ(ckpt::arch_digest(m), reference_digest(m));
+  const std::vector<u8> before(m.memory().raw().begin(),
+                               m.memory().raw().end());
+  const std::vector<u8> ck = ckpt::save_checkpoint(m);
+  m.memory().clear();
+  EXPECT_TRUE(std::ranges::all_of(m.memory().raw(),
+                                  [](u8 b) { return b == 0; }));
+  ckpt::restore_checkpoint(m, ck);
+  EXPECT_TRUE(std::ranges::equal(m.memory().raw(), before));
+  EXPECT_EQ(ckpt::save_checkpoint(m), ck);
+  // Restoring over a dirty arena leaves no stale byte behind.
+  std::ranges::fill(m.memory().raw(), u8{0xee});
+  ckpt::restore_checkpoint(m, ck);
+  EXPECT_TRUE(std::ranges::equal(m.memory().raw(), before));
+}
+
+// Stores a word into page 2 and then zeroes it again: a page the guest
+// touched that must still count as all-zero.
+constexpr const char* kZeroAgainProg = R"(
+    setlo g3, 8192
+    setlo g4, 99
+    stwi g4, g3, 0
+    stwi g0, g3, 0
+    halt
+)";
+
+TEST(Ckpt, SparseDigestAndSaveMatchByteWiseReference) {
+  // Whole-page arenas and one whose size is not a multiple of 4 KB; in
+  // each, a lone non-zero byte at a page's first byte, at a page's last
+  // byte, and at the arena's last byte.
+  constexpr std::size_t kNoPoke = ~std::size_t{0};
+  const masm::Image img = assemble_or_throw(kZeroAgainProg);
+  for (std::size_t bytes : {std::size_t{8 * 4096}, std::size_t{3 * 4096 + 100}}) {
+    for (std::size_t poke : {kNoPoke, std::size_t{2 * 4096},
+                             std::size_t{2 * 4096 + 4095}, bytes - 1}) {
+      SCOPED_TRACE(testing::Message() << bytes << " bytes, poke " << poke);
+      sim::FunctionalSim f(img, bytes);
+      f.run();
+      if (poke != kNoPoke) f.memory().write_u8(poke, 0xa5);
+      expect_sparse_arena_exact(f);
+
+      for (u32 cpus : {1u, 2u}) {
+        SCOPED_TRACE(cpus);
+        soc::Majc5200 m(img, cpus, TimingConfig{}, bytes);
+        m.run();
+        if (poke != kNoPoke) m.memory().write_u8(poke, 0x5a);
+        expect_sparse_arena_exact(m);
+      }
+    }
+  }
+}
+
+TEST(Ckpt, ClearZeroesEveryPageIncludingTheTail) {
+  sim::FlatMemory mem(3 * 4096 + 100);
+  for (std::size_t off : {std::size_t{0}, std::size_t{4095},
+                          std::size_t{2 * 4096}, mem.size() - 1})
+    mem.write_u8(off, 0xff);
+  std::size_t pages = 0;
+  mem.for_each_nonzero_page([&](std::size_t off, std::span<const u8> page) {
+    EXPECT_EQ(off % sim::FlatMemory::kPageBytes, 0u);
+    EXPECT_EQ(page.size(),
+              std::min(sim::FlatMemory::kPageBytes, mem.size() - off));
+    ++pages;
+  });
+  EXPECT_EQ(pages, 3u);  // page 0 twice over, page 2, the 100-byte tail
+  mem.clear();
+  EXPECT_TRUE(std::ranges::all_of(mem.raw(), [](u8 b) { return b == 0; }));
+}
+
+TEST(Ckpt, ArenaMoveHandsOverTheMapping) {
+  sim::FlatMemory a(2 * 4096);
+  a.write_u8(4096, 7);
+  const u8* base = a.raw().data();
+  sim::FlatMemory b(std::move(a));
+  EXPECT_EQ(b.raw().data(), base);
+  EXPECT_EQ(b.read_u8(4096), 7);
+  EXPECT_EQ(a.size(), 0u);  // the moved-from arena owns nothing to unmap
+  a = std::move(b);
+  EXPECT_EQ(a.raw().data(), base);
+  EXPECT_EQ(b.size(), 0u);
+}
+
+TEST(Ckpt, ArenaMappingFailureIsAnError) {
+  // Larger than any host address space: the mapping fails without
+  // allocating anything.
+  EXPECT_THROW(sim::FlatMemory(std::size_t{1} << 62), Error);
+}
+
+// -------------------------------------------------------- arena residency
+
+/// Number of pages in a checkpoint's sparse MEM section.
+std::size_t saved_pages(const std::vector<u8>& ck) {
+  ckpt::Reader r(std::span<const u8>(ck).subspan(after_tag(ck, "MEM ")));
+  r.get_u64();  // arena size
+  std::size_t pages = 0;
+  std::vector<u8> page;
+  while (r.get_u64() != ~u64{0}) {
+    page.resize(r.get_u32());
+    r.get_bytes(page);
+    ++pages;
+  }
+  return pages;
+}
+
+/// Bytes of `arena` held in private host pages: /proc/self/pagemap entries
+/// that are present (bit 63) and exclusively mapped (bit 56). A page the
+/// host has only read maps the kernel's shared zero page, which is present
+/// but not exclusive; mincore would count it, and a digest reads every page.
+std::size_t resident_bytes(std::span<const u8> arena) {
+  const auto host_page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const auto first = reinterpret_cast<std::uintptr_t>(arena.data()) / host_page;
+  std::vector<u64> entries((arena.size() + host_page - 1) / host_page);
+  std::ifstream pagemap("/proc/self/pagemap", std::ios::binary);
+  pagemap.seekg(static_cast<std::streamoff>(first * sizeof(u64)));
+  pagemap.read(reinterpret_cast<char*>(entries.data()),
+               static_cast<std::streamsize>(entries.size() * sizeof(u64)));
+  EXPECT_TRUE(pagemap) << "cannot read /proc/self/pagemap";
+  return host_page * static_cast<std::size_t>(std::ranges::count_if(
+                         entries, [](u64 e) { return (e >> 63) & (e >> 56) & 1; }));
+}
+
+template <class Machine>
+void expect_resident_only_what_was_saved(Machine& m,
+                                         const kernels::CompiledKernel& k) {
+  const kernels::KernelRun run = kernels::run_kernel_on(m, k.spec);  // digests
+  ASSERT_TRUE(run.valid) << run.message;
+  const std::size_t saved = saved_pages(ckpt::save_checkpoint(m));
+  if constexpr (std::is_same_v<Machine, soc::Majc5200>) {
+    m.reset(k.program, TimingConfig{});
+  } else {
+    m.reset(k.program);
+  }
+  // The slack covers pages written but left zero (the image loader writes
+  // .space regions) and host pages larger than the checkpoint's 4 KB.
+  // Swapping can only lower the count. A whole-arena pass that writes
+  // makes all 8,192 pages resident.
+  const std::size_t page =
+      std::max<std::size_t>(sim::FlatMemory::kPageBytes, sysconf(_SC_PAGESIZE));
+  EXPECT_LE(resident_bytes(m.memory().raw()), (saved + 8) * page)
+      << saved << " pages saved of a " << m.memory().size() << "-byte arena";
+}
+
+TEST(Ckpt, ArenaResidencyIsBoundedBySavedPages) {
+  // Digest, save and reset visit the whole arena, yet must leave resident
+  // only the pages the guest wrote: the job's host cost follows its guest.
+  const kernels::CompiledKernel k = kernels::compile_kernel(
+      kernels::table12_spec(*kernels::find_table12_kernel("idct")));
+  {
+    sim::FunctionalSim f(k.program);
+    expect_resident_only_what_was_saved(f, k);
+  }
+  {
+    soc::Majc5200 m(k.program, 1, TimingConfig{});
+    expect_resident_only_what_was_saved(m, k);
   }
 }
 
