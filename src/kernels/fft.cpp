@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <numbers>
+#include <stdexcept>
 
 #include "src/kernels/codegen.h"
 #include "src/kernels/dsp_data.h"
@@ -40,14 +41,27 @@ std::vector<std::complex<float>> twiddles(u32 count) {
   return w;
 }
 
-bool validate_fft(sim::MemoryBus& mem, const masm::Image& img,
-                  const std::vector<std::complex<float>>& input,
-                  std::string& msg) {
-  const auto expect = reference_dft(input);
-  double maxmag = 0.0;
-  for (const auto& e : expect) maxmag = std::max(maxmag, std::abs(e));
-  const double tol = 2e-4 * maxmag;  // FP32 accumulation over 10 stages
+/// The expected spectrum of one FFT spec's input and the tolerance the
+/// guest's FP32 result is held to. Built once with the spec and captured by
+/// value in its validate closure, so validating a job only compares bins.
+struct FftGolden {
+  std::vector<std::complex<double>> spectrum;
+  double tol = 0.0;
+};
 
+FftGolden make_fft_golden(const std::vector<std::complex<float>>& input) {
+  FftGolden g;
+  g.spectrum = reference_dft(input);
+  double maxmag = 0.0;
+  for (const auto& e : g.spectrum) maxmag = std::max(maxmag, std::abs(e));
+  g.tol = 2e-4 * maxmag;  // FP32 accumulation over 10 stages
+  return g;
+}
+
+bool validate_fft(sim::MemoryBus& mem, const masm::Image& img,
+                  const FftGolden& golden, std::string& msg) {
+  const auto& expect = golden.spectrum;
+  const double tol = golden.tol;
   const Addr xa = img.symbol("xarr");
   for (u32 k = 0; k < kFftN; ++k) {
     float re, im;
@@ -55,8 +69,9 @@ bool validate_fft(sim::MemoryBus& mem, const masm::Image& img,
     std::memcpy(&re, &raw, 4);
     raw = mem.read_u32(xa + 8 * k + 4);
     std::memcpy(&im, &raw, 4);
-    if (std::abs(re - expect[k].real()) > tol ||
-        std::abs(im - expect[k].imag()) > tol) {
+    // Written as !(err <= tol) so a NaN bin fails.
+    if (!(std::abs(re - expect[k].real()) <= tol) ||
+        !(std::abs(im - expect[k].imag()) <= tol)) {
       msg = "X[" + std::to_string(k) + "] = (" + std::to_string(re) + "," +
             std::to_string(im) + "), expected (" +
             std::to_string(expect[k].real()) + "," +
@@ -304,16 +319,45 @@ u32 digit4_reverse5(u32 i) {
 
 std::vector<std::complex<double>> reference_dft(
     const std::vector<std::complex<float>>& x) {
-  const u32 n = static_cast<u32>(x.size());
+  // Iterative radix-2 decimation-in-time in double precision. Its index
+  // reversal and twiddle table are its own, not the guest's bit_reverse10 /
+  // digit4_reverse5 / FP32 twiddles(), so a bug in the guest's input
+  // permutation or twiddles cannot also hide in the reference. The
+  // butterflies use real arithmetic: a std::complex<double> multiply is a
+  // libcall (__muldc3) without -ffast-math.
+  const std::size_t n = x.size();
+  if (n & (n - 1)) {
+    throw std::invalid_argument("reference_dft: length " + std::to_string(n) +
+                                " is not a power of two");
+  }
+  u32 bits = 0;
+  while ((std::size_t{1} << bits) < n) ++bits;
   std::vector<std::complex<double>> out(n);
-  for (u32 k = 0; k < n; ++k) {
-    std::complex<double> acc = 0.0;
-    for (u32 j = 0; j < n; ++j) {
-      const double a = -2.0 * std::numbers::pi * static_cast<double>(k) * j / n;
-      acc += std::complex<double>(x[j].real(), x[j].imag()) *
-             std::complex<double>(std::cos(a), std::sin(a));
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t r = 0;
+    for (u32 b = 0; b < bits; ++b) r |= ((i >> b) & 1u) << (bits - 1 - b);
+    out[r] = {x[i].real(), x[i].imag()};
+  }
+  std::vector<double> wr(n / 2), wi(n / 2);  // W^k = exp(-2*pi*i*k / n)
+  for (std::size_t k = 0; k < n / 2; ++k) {
+    const double a = -2.0 * std::numbers::pi * static_cast<double>(k) /
+                     static_cast<double>(n);
+    wr[k] = std::cos(a);
+    wi[k] = std::sin(a);
+  }
+  for (std::size_t half = 1; half < n; half *= 2) {
+    const std::size_t step = n / (2 * half);  // twiddle stride this stage
+    for (std::size_t base = 0; base < n; base += 2 * half) {
+      for (std::size_t j = 0; j < half; ++j) {
+        const double c = wr[j * step], s = wi[j * step];
+        const std::complex<double> u = out[base + j];
+        const std::complex<double> v = out[base + j + half];
+        const double tr = v.real() * c - v.imag() * s;
+        const double ti = v.real() * s + v.imag() * c;
+        out[base + j] = {u.real() + tr, u.imag() + ti};
+        out[base + j + half] = {u.real() - tr, u.imag() - ti};
+      }
     }
-    out[k] = acc;
   }
   return out;
 }
@@ -326,9 +370,10 @@ KernelSpec make_fft_radix2_spec(u64 seed) {
   KernelSpec spec;
   spec.name = "fft1024_radix2";
   spec.source = generate_fft2_asm(flatten(rev));
-  spec.validate = [x](sim::MemoryBus& mem, const masm::Image& img,
-                      std::string& msg) {
-    return validate_fft(mem, img, x, msg);
+  spec.validate = [golden = make_fft_golden(x)](sim::MemoryBus& mem,
+                                                const masm::Image& img,
+                                                std::string& msg) {
+    return validate_fft(mem, img, golden, msg);
   };
   return spec;
 }
@@ -341,9 +386,10 @@ KernelSpec make_fft_radix4_spec(u64 seed) {
   KernelSpec spec;
   spec.name = "fft1024_radix4";
   spec.source = generate_fft4_asm(flatten(rev));
-  spec.validate = [x](sim::MemoryBus& mem, const masm::Image& img,
-                      std::string& msg) {
-    return validate_fft(mem, img, x, msg);
+  spec.validate = [golden = make_fft_golden(x)](sim::MemoryBus& mem,
+                                                const masm::Image& img,
+                                                std::string& msg) {
+    return validate_fft(mem, img, golden, msg);
   };
   return spec;
 }

@@ -11,8 +11,11 @@
 // DSPs that have smaller register files, MAJC-5200 is capable of using the
 // compute efficient Radix-4 FFT algorithms").
 //
-// Validation compares against a double-precision reference DFT with a
-// tolerance scaled to FP32 accumulation error.
+// Validation compares against a double-precision reference spectrum with a
+// tolerance scaled to FP32 accumulation error. Each spec computes that
+// spectrum and tolerance once, when it is built (an O(N log N) transform),
+// and its validate closure holds them, so validating a job only compares
+// the 1024 bins.
 #pragma once
 
 #include <complex>
@@ -27,7 +30,10 @@ inline constexpr u32 kFftN = 1024;
 KernelSpec make_fft_radix2_spec(u64 seed = 1);
 KernelSpec make_fft_radix4_spec(u64 seed = 1);
 
-/// Reference DFT (O(N^2), double precision) of `x`.
+/// Reference DFT of `x` in double precision, computed by an O(N log N)
+/// radix-2 FFT that shares no permutation or twiddle code with the guest
+/// kernels. `x.size()` must be a power of two (else std::invalid_argument).
+/// tests/test_kernel_references.cpp pins it to the O(N^2) definition.
 std::vector<std::complex<double>> reference_dft(
     const std::vector<std::complex<float>>& x);
 

@@ -4,13 +4,19 @@
 // kernels to the right function.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
+#include <cstring>
 #include <numbers>
+#include <stdexcept>
 
 #include "src/kernels/convolve.h"
 #include "src/kernels/dct_common.h"
+#include "src/kernels/fft.h"
 #include "src/kernels/idct.h"
 #include "src/kernels/vld.h"
+#include "src/sim/functional_sim.h"
 #include "src/support/rng.h"
 
 namespace majc {
@@ -105,6 +111,125 @@ TEST(VldReference, EncodeDecodeRoundTripsSymbols) {
         static_cast<i16>(s.level * kernels::kVldQscale);
   }
   for (int i = 0; i < 64; ++i) EXPECT_EQ(block[i], expect[i]) << i;
+}
+
+/// The DFT by its definition: O(N^2), double precision. The oracle the
+/// fast reference_dft must reproduce.
+std::vector<std::complex<double>> direct_dft(
+    const std::vector<std::complex<float>>& x) {
+  const std::size_t n = x.size();
+  std::vector<std::complex<double>> out(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    std::complex<double> acc = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double a = -2.0 * std::numbers::pi *
+                       static_cast<double>(k * j % n) / static_cast<double>(n);
+      acc += std::complex<double>(x[j].real(), x[j].imag()) *
+             std::complex<double>(std::cos(a), std::sin(a));
+    }
+    out[k] = acc;
+  }
+  return out;
+}
+
+double max_magnitude(const std::vector<std::complex<double>>& v) {
+  double m = 0.0;
+  for (const auto& c : v) m = std::max(m, std::abs(c));
+  return m;
+}
+
+void expect_reference_matches_direct(
+    const std::vector<std::complex<float>>& x) {
+  const auto fast = kernels::reference_dft(x);
+  const auto slow = direct_dft(x);
+  ASSERT_EQ(fast.size(), slow.size());
+  const double bound = 1e-9 * max_magnitude(slow);
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    ASSERT_LE(std::abs(fast[k] - slow[k]), bound) << "bin " << k;
+  }
+}
+
+class FftReferenceSeeds : public ::testing::TestWithParam<u64> {};
+
+TEST_P(FftReferenceSeeds, FastReferenceMatchesDirectDft) {
+  std::vector<std::complex<float>> x(kernels::kFftN);
+  SplitMix64 rng(GetParam());
+  for (auto& c : x) {
+    c = {static_cast<float>(rng.next_double(-1.0, 1.0)),
+         static_cast<float>(rng.next_double(-1.0, 1.0))};
+  }
+  expect_reference_matches_direct(x);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FftReferenceSeeds,
+                         ::testing::Values(1u, 1592610980u, 271828182u));
+
+TEST(FftReference, ImpulseAndConstantMatchDirectDft) {
+  std::vector<std::complex<float>> impulse(kernels::kFftN);
+  impulse[3] = {1.0f, -0.5f};
+  expect_reference_matches_direct(impulse);
+  const std::vector<std::complex<float>> dc(kernels::kFftN, {0.25f, 0.75f});
+  expect_reference_matches_direct(dc);
+}
+
+TEST(FftReference, RejectsLengthThatIsNotAPowerOfTwo) {
+  EXPECT_THROW(kernels::reference_dft(std::vector<std::complex<float>>(12)),
+               std::invalid_argument);
+}
+
+/// Each FFT spec's validator holds the guest to 2e-4 * max|X| on every bin:
+/// after a clean run, moving one bin by half the tolerance still validates
+/// and moving it by one and a half times the tolerance does not.
+void check_tolerance_boundary(const kernels::KernelSpec& spec,
+                              u32 (*permute)(u32)) {
+  sim::FunctionalSim sim(masm::assemble_or_throw(spec.source));
+  const masm::Image& img = sim.program().image();
+  const Addr xa = img.symbol("xarr");
+  auto read_f32 = [&](Addr a) {
+    const u32 raw = sim.memory().read_u32(a);
+    float f;
+    std::memcpy(&f, &raw, 4);
+    return f;
+  };
+  // The spec's input, recovered from the image's permuted data before the run.
+  std::vector<std::complex<float>> x(kernels::kFftN);
+  for (u32 i = 0; i < kernels::kFftN; ++i) {
+    const Addr a = xa + 8 * permute(i);
+    x[i] = {read_f32(a), read_f32(a + 4)};
+  }
+  const double tol = 2e-4 * max_magnitude(kernels::reference_dft(x));
+
+  const kernels::KernelRun run = kernels::run_kernel_on(sim, spec);
+  ASSERT_TRUE(run.valid) << run.message;
+  for (const u32 k : {0u, 511u, 1023u}) {
+    const Addr a = xa + 8 * k;
+    const u32 clean = sim.memory().read_u32(a);
+    for (const double factor : {0.5, 1.5}) {
+      const float moved = static_cast<float>(read_f32(a) + factor * tol);
+      u32 raw;
+      std::memcpy(&raw, &moved, 4);
+      sim.memory().write_u32(a, raw);
+      std::string msg;
+      const bool ok = spec.validate(sim.memory(), img, msg);
+      sim.memory().write_u32(a, clean);
+      if (factor < 1.0) {
+        EXPECT_TRUE(ok) << spec.name << " bin " << k << ": " << msg;
+      } else {
+        EXPECT_FALSE(ok) << spec.name << " bin " << k;
+        EXPECT_EQ(msg.rfind("X[" + std::to_string(k) + "]", 0), 0u) << msg;
+      }
+    }
+  }
+}
+
+TEST(FftValidation, Radix2ToleranceBoundary) {
+  check_tolerance_boundary(kernels::make_fft_radix2_spec(1),
+                           kernels::bit_reverse10);
+}
+
+TEST(FftValidation, Radix4ToleranceBoundary) {
+  check_tolerance_boundary(kernels::make_fft_radix4_spec(1),
+                           kernels::digit4_reverse5);
 }
 
 } // namespace

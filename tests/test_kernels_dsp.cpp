@@ -1,6 +1,9 @@
 // Correctness + sanity-of-timing tests for the Table 2 DSP kernels.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "src/kernels/biquad.h"
 #include "src/kernels/bitrev.h"
 #include "src/kernels/cfir.h"
@@ -8,6 +11,7 @@
 #include "src/kernels/fir.h"
 #include "src/kernels/lms.h"
 #include "src/kernels/max_search.h"
+#include "src/sim/functional_sim.h"
 
 namespace majc {
 namespace {
@@ -134,6 +138,35 @@ TEST(Fft, Radix2MatchesReferenceDft) {
 TEST(Fft, Radix4MatchesReferenceDft) {
   const auto run = run_kernel_functional(kernels::make_fft_radix4_spec(1));
   EXPECT_TRUE(run.valid) << run.message;
+}
+
+/// A NaN bin must fail validation: `|NaN - expect| > tol` is false, so the
+/// comparison has to be written to reject it.
+void expect_nan_bin_rejected(const kernels::KernelSpec& spec) {
+  sim::FunctionalSim sim(masm::assemble_or_throw(spec.source));
+  const auto run = kernels::run_kernel_on(sim, spec);
+  ASSERT_TRUE(run.valid) << run.message;
+  const masm::Image& img = sim.program().image();
+  const Addr bin17 = img.symbol("xarr") + 8 * 17;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  u32 nan_bits;
+  std::memcpy(&nan_bits, &nan, 4);
+  for (const Addr part : {bin17, bin17 + 4}) {  // real, then imaginary
+    const u32 clean = sim.memory().read_u32(part);
+    sim.memory().write_u32(part, nan_bits);
+    std::string msg;
+    EXPECT_FALSE(spec.validate(sim.memory(), img, msg)) << spec.name;
+    EXPECT_EQ(msg.rfind("X[17]", 0), 0u) << msg;
+    sim.memory().write_u32(part, clean);
+  }
+}
+
+TEST(Fft, Radix2RejectsNanBin) {
+  expect_nan_bin_rejected(kernels::make_fft_radix2_spec(1));
+}
+
+TEST(Fft, Radix4RejectsNanBin) {
+  expect_nan_bin_rejected(kernels::make_fft_radix4_spec(1));
 }
 
 TEST(Fft, Radix4BeatsRadix2AsPaperClaims) {
