@@ -12,11 +12,6 @@
 #include "src/soc/config.h"
 #include "src/support/types.h"
 
-namespace majc::ckpt {
-class Writer;
-class Reader;
-} // namespace majc::ckpt
-
 namespace majc::cpu {
 
 class BranchPredictor {
@@ -38,8 +33,7 @@ public:
   }
   void reset_stats() { lookups_ = correct_ = 0; }
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
 private:
   u32 index(Addr pc) const;

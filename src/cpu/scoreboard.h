@@ -19,11 +19,6 @@
 #include "src/soc/config.h"
 #include "src/support/types.h"
 
-namespace majc::ckpt {
-class Writer;
-class Reader;
-} // namespace majc::ckpt
-
 namespace majc::cpu {
 
 /// Producer identifiers: 0..3 = FU0..FU3, kLsuProducer = load data from the
@@ -116,8 +111,7 @@ public:
 
   void clear() { entries_.fill({}); }
 
-  void save(ckpt::Writer& w) const;   // defined in support/checkpoint.cpp
-  void restore(ckpt::Reader& r);
+  template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
 private:
   std::array<Entry, isa::kNumRegs> entries_{};

@@ -22,11 +22,6 @@
 #include "src/support/stats.h"
 #include "src/support/types.h"
 
-namespace majc::ckpt {
-class Writer;
-class Reader;
-} // namespace majc::ckpt
-
 namespace majc::mem {
 
 class Cache {
@@ -105,8 +100,7 @@ public:
   const Config& config() const { return cfg_; }
   void reset_stats();
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
 private:
   struct Line {

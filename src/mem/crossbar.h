@@ -14,11 +14,6 @@
 #include "src/soc/config.h"
 #include "src/support/types.h"
 
-namespace majc::ckpt {
-class Writer;
-class Reader;
-} // namespace majc::ckpt
-
 namespace majc::mem {
 
 enum class Port : u8 {
@@ -62,8 +57,7 @@ public:
   u64 dropped_grants() const { return dropped_grants_; }
   void reset_stats();
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
 private:
   u32 hop_;

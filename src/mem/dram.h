@@ -12,11 +12,6 @@
 #include "src/soc/config.h"
 #include "src/support/types.h"
 
-namespace majc::ckpt {
-class Writer;
-class Reader;
-} // namespace majc::ckpt
-
 namespace majc::mem {
 
 class Dram {
@@ -33,8 +28,7 @@ public:
   u64 busy_cycles() const { return busy_cycles_; }
   void reset_stats();
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
 private:
   u32 bank_of(Addr addr) const {

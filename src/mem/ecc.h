@@ -28,11 +28,6 @@
 #include "src/sim/memory.h"
 #include "src/support/fault.h"
 
-namespace majc::ckpt {
-class Writer;
-class Reader;
-} // namespace majc::ckpt
-
 namespace majc::mem {
 
 class EccMemory final : public sim::MemoryBus {
@@ -58,8 +53,7 @@ public:
   u64 poisoned_lines() const { return poisoned_; }
   u64 silent_corruptions() const { return silent_corruptions_; }
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
 private:
   sim::MemoryBus& inner_;

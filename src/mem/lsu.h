@@ -24,11 +24,6 @@
 #include "src/soc/config.h"
 #include "src/support/stats.h"
 
-namespace majc::ckpt {
-class Writer;
-class Reader;
-} // namespace majc::ckpt
-
 namespace majc::mem {
 
 /// LSU event counters as a fixed enum: the issue path runs once per memory
@@ -101,8 +96,7 @@ public:
     observer_ = std::move(fn);
   }
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
 private:
   struct StoreEntry {

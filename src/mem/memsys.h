@@ -17,11 +17,6 @@
 #include "src/mem/lsu.h"
 #include "src/soc/config.h"
 
-namespace majc::ckpt {
-class Writer;
-class Reader;
-} // namespace majc::ckpt
-
 namespace majc::mem {
 
 inline constexpr u32 kNumCpus = 2;
@@ -77,8 +72,7 @@ public:
 
   void reset_stats();
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
 private:
   /// General ifetch path for lines `first..last` (inclusive, line-aligned):

@@ -18,11 +18,6 @@
 #include "src/sim/predecode.h"
 #include "src/support/trap.h"
 
-namespace majc::ckpt {
-class Writer;
-class Reader;
-} // namespace majc::ckpt
-
 namespace majc::sim {
 
 struct ThreadedCode;
@@ -160,8 +155,7 @@ public:
   /// functional and timed runs produce identical console text.
   static void format_trap(std::string& out, u32 code, u32 value);
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
 private:
   RunResult run_interp(u64 max_packets);

@@ -89,8 +89,7 @@ public:
   IoPort& supa() { return shared_->supa; }
   IoPort& pci() { return shared_->pci; }
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
 private:
   /// Everything the CPUs share downstream of the arena. Rebuilt as a unit

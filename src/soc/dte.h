@@ -14,11 +14,6 @@
 #include "src/mem/memsys.h"
 #include "src/sim/memory.h"
 
-namespace majc::ckpt {
-class Writer;
-class Reader;
-} // namespace majc::ckpt
-
 namespace majc::soc {
 
 class Dte {
@@ -54,8 +49,7 @@ public:
     observer_ = std::move(fn);
   }
 
-  void save(ckpt::Writer& w) const;   // defined in support/checkpoint.cpp
-  void restore(ckpt::Reader& r);
+  template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
 private:
   void flush_range(Addr base, u32 bytes, bool writeback);

@@ -16,11 +16,6 @@
 #include "src/mem/memsys.h"
 #include "src/sim/memory.h"
 
-namespace majc::ckpt {
-class Writer;
-class Reader;
-} // namespace majc::ckpt
-
 namespace majc::soc {
 
 /// Bounded byte FIFO with timing: the NUPA input buffer (4 KB).
@@ -38,8 +33,7 @@ public:
 
   u64 total_pushed() const { return pushed_; }
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
 private:
   u32 capacity_;
@@ -70,8 +64,7 @@ public:
   u64 bytes_in() const { return bytes_in_; }
   u64 bytes_out() const { return bytes_out_; }
 
-  void save(ckpt::Writer& w) const;
-  void restore(ckpt::Reader& r);
+  template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
 private:
   Cycle move(Addr mem_addr, u32 bytes, bool inbound, Cycle now);

@@ -7,11 +7,6 @@
 
 #include "src/support/types.h"
 
-namespace majc::ckpt {
-class Writer;
-class Reader;
-} // namespace majc::ckpt
-
 namespace majc {
 
 /// Named 64-bit counters with stable iteration order for reporting.
@@ -46,8 +41,7 @@ public:
   u64 total() const;
   double mean() const;
 
-  void save(ckpt::Writer& w) const;   // defined in support/checkpoint.cpp
-  void restore(ckpt::Reader& r);
+  template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
 private:
   std::vector<u64> buckets_;

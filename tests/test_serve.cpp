@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "src/farm/farm.h"
 #include "src/kernels/table12.h"
 #include "src/serve/client.h"
+#include "src/serve/proto.h"
 #include "src/serve/server.h"
 
 using namespace majc;
@@ -34,7 +36,7 @@ std::string unique_socket_path() {
 
 /// Build the offline reference for a request: the same canonical expansion
 /// and serialization majc_farm uses, run serially.
-std::string reference_campaign(const serve::CampaignRequest& req) {
+std::string build_reference_campaign(const serve::CampaignRequest& req) {
   farm::Engine eng;
   if (!req.source_text.empty()) {
     kernels::KernelSpec spec;
@@ -59,6 +61,20 @@ std::string reference_campaign(const serve::CampaignRequest& req) {
   m.policy = req.policy;
   farm::submit_matrix(eng, m);
   return farm::campaign_json(eng, eng.run(1u), req.seed);
+}
+
+/// build_reference_campaign, memoized per distinct request for the life of
+/// the binary: two tests serve the same full-table functional campaign, and
+/// the reference is the expensive half of each. The key is the request's
+/// wire form with its id zeroed; the id names a request on a connection and
+/// does not reach the payload.
+std::string reference_campaign(const serve::CampaignRequest& req) {
+  static std::map<std::string, std::string> built;
+  serve::CampaignRequest key = req;
+  key.id = 0;
+  const auto [it, fresh] = built.try_emplace(serve::campaign_request_json(key));
+  if (fresh) it->second = build_reference_campaign(req);
+  return it->second;
 }
 
 std::vector<std::string> all_table12_names() {
