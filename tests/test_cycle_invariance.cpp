@@ -26,6 +26,7 @@
 #include "src/kernels/max_search.h"
 #include "src/kernels/mb_decode.h"
 #include "src/kernels/motion_est.h"
+#include "src/kernels/table12.h"
 #include "src/kernels/vld.h"
 #include "src/masm/assembler.h"
 #include "src/soc/chip.h"
@@ -213,31 +214,44 @@ TEST(CycleInvariance, DualCpuChipGolden) {
 // fast path bit for bit. ----
 
 TEST(CycleInvariance, TracedPathMatchesFastPath) {
-  const kernels::KernelSpec spec = kernels::make_mb_decode_spec();
+  // run_steps() runs an untraced one-thread CPU on the specialized step
+  // body and a traced one on the general body. On every Table 1/2 kernel
+  // the two must leave the same machine: results, registers, cache
+  // counters, and the checkpoint bytes that cover cache tags, LSU buffers,
+  // the predictor and the CPU statistics.
+  for (const kernels::NamedKernel& nk : kernels::table12_kernels()) {
+    SCOPED_TRACE(nk.name);
+    const kernels::CompiledKernel k =
+        kernels::compile_kernel(kernels::table12_spec(nk));
 
-  soc::Majc5200 fast(masm::assemble_or_throw(spec.source), 1);
-  const auto rf = fast.run();
+    soc::Majc5200 fast(k.program, 1);
+    kernels::setup_kernel(fast, k.spec);
+    const auto rf = fast.run();
 
-  soc::Majc5200 traced(masm::assemble_or_throw(spec.source), 1);
-  u64 events = 0;
-  traced.cpu().set_trace([&events](const cpu::TraceEvent&) { ++events; });
-  const auto rt = traced.run();
+    soc::Majc5200 traced(k.program, 1);
+    kernels::setup_kernel(traced, k.spec);
+    u64 events = 0;
+    traced.cpu().set_trace([&events](const cpu::TraceEvent&) { ++events; });
+    const auto rt = traced.run();
 
-  EXPECT_GT(events, 0u);
-  EXPECT_EQ(rf.cycles, rt.cycles);
-  EXPECT_EQ(rf.packets, rt.packets);
-  EXPECT_EQ(rf.instrs, rt.instrs);
-  EXPECT_EQ(rf.reason, rt.reason);
-  for (u32 r = 0; r < isa::kNumRegs; ++r) {
-    EXPECT_EQ(fast.cpu().state().regs[r], traced.cpu().state().regs[r])
-        << "reg " << r;
+    EXPECT_GT(events, 0u);
+    EXPECT_EQ(rf.cycles, rt.cycles);
+    EXPECT_EQ(rf.packets, rt.packets);
+    EXPECT_EQ(rf.instrs, rt.instrs);
+    EXPECT_EQ(rf.reason, rt.reason);
+    for (u32 r = 0; r < isa::kNumRegs; ++r) {
+      EXPECT_EQ(fast.cpu().state().regs[r], traced.cpu().state().regs[r])
+          << "reg " << r;
+    }
+    EXPECT_EQ(fast.memsys().dcache().hits(), traced.memsys().dcache().hits());
+    EXPECT_EQ(fast.memsys().dcache().misses(),
+              traced.memsys().dcache().misses());
+    EXPECT_EQ(fast.memsys().icache(0).hits(),
+              traced.memsys().icache(0).hits());
+    EXPECT_EQ(fast.memsys().icache(0).misses(),
+              traced.memsys().icache(0).misses());
+    EXPECT_EQ(ckpt::save_checkpoint(fast), ckpt::save_checkpoint(traced));
   }
-  EXPECT_EQ(fast.memsys().dcache().hits(), traced.memsys().dcache().hits());
-  EXPECT_EQ(fast.memsys().dcache().misses(),
-            traced.memsys().dcache().misses());
-  EXPECT_EQ(fast.memsys().icache(0).hits(), traced.memsys().icache(0).hits());
-  EXPECT_EQ(fast.memsys().icache(0).misses(),
-            traced.memsys().icache(0).misses());
 }
 
 } // namespace
