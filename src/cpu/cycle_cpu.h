@@ -102,13 +102,6 @@ public:
   CycleCpu(const sim::Program& prog, sim::MemoryBus& mem,
            mem::MemorySystem& ms, u32 cpu_id);
 
-  /// Issue and execute the next packet of the scheduled thread (or perform
-  /// a context switch). No-op once every thread has halted. An architected
-  /// trap is delivered to the faulting thread's handler when one is
-  /// installed (SETTVEC) and execution continues; otherwise it stops the
-  /// whole CPU (every context) and is recorded in trap().
-  void step();
-
   /// Why a run_steps() batch stopped.
   enum class RunEnd : u8 {
     kTrap,      // machine-level trap stopped the CPU (trap() is set)
@@ -118,8 +111,12 @@ public:
     kLimit,     // cached_now() advanced past `limit`
   };
 
-  /// Step repeatedly until a bound is hit, with the per-step dispatch
-  /// hoisted out of the loop. The watchdog compares cached_now() against
+  /// Issue and execute packets of the scheduled thread (or perform context
+  /// switches) until a bound is hit, with the per-step dispatch hoisted out
+  /// of the loop. An architected trap is delivered to the faulting thread's
+  /// handler when one is installed (SETTVEC) and execution continues;
+  /// otherwise it stops the whole CPU (every context) and is recorded in
+  /// trap(). The watchdog compares cached_now() against
   /// max(last_progress(), ext_progress) + wd after every step (wd == 0
   /// disables it); `limit` stops the batch once cached_now() exceeds it —
   /// the chip scheduler uses it to run the earliest CPU exactly as long as
@@ -135,7 +132,7 @@ public:
   const Trap* trap() const { return trap_ ? &*trap_ : nullptr; }
   /// Cycle at which the next packet would issue (== elapsed cycles so far).
   Cycle now() const;
-  /// now(), maintained incrementally by step(). Exact during a run loop —
+  /// now(), maintained incrementally by each step. Exact during a run loop —
   /// nothing else mutates thread ready cycles between steps — and O(1), so
   /// per-step watchdog / scheduling checks avoid the O(hw_threads) scan.
   Cycle cached_now() const { return now_cache_; }
@@ -149,16 +146,10 @@ public:
   const sim::CpuState& state(u32 thread = 0) const {
     return threads_[thread].state;
   }
-  /// Point a thread at an entry address (threads default to the image entry
-  /// and can dispatch on GETTID instead).
-  void set_thread_pc(u32 thread, Addr pc) { threads_[thread].state.pc = pc; }
 
   const CpuStats& stats() const { return stats_; }
   const std::string& console() const { return console_; }
   BranchPredictor& predictor() { return bpred_; }
-  /// The most recent trap recovered via the guest handler (code == kNone if
-  /// none was delivered).
-  const Trap& last_delivered_trap() const { return last_trap_; }
 
   template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 
@@ -174,7 +165,8 @@ private:
     Cycle ready = 0;  // earliest cycle this thread may issue next
     // Dense index of the packet at state.pc, or kNoPacketIndex if unknown.
     // idx_pc records which pc the cached index was computed for, so external
-    // pc writes (set_thread_pc, tests) fall back to the map lookup.
+    // pc writes (Majc5200::set_entry, checkpoint restore, tests) fall back to
+    // the map lookup.
     u32 idx = sim::kNoPacketIndex;
     Addr idx_pc = 0;
   };
@@ -196,7 +188,10 @@ private:
   /// now() cache is thread 0's ready cycle directly.
   template <bool kFast>
   void step_body();
-  void step_impl() { step_body<false>(); }
+  /// run_steps()'s loop over one step body; returns true when the watchdog
+  /// fired.
+  template <bool kFast>
+  bool run_loop(u64 max_packets, u64 wd, Cycle ext_progress, Cycle limit);
   /// Deliver a trap raised mid-step: vector into the guest handler when one
   /// is installed (returns true, CPU keeps running) or record it as the
   /// machine-level stop reason (returns false).

@@ -1,19 +1,11 @@
 #include "src/mem/cache.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/support/error.h"
 
 namespace majc::mem {
-
-namespace {
-bool is_pow2(u32 v) { return v != 0 && (v & (v - 1)) == 0; }
-u32 log2_u32(u32 v) {
-  u32 n = 0;
-  while ((v >>= 1) != 0) ++n;
-  return n;
-}
-} // namespace
 
 Cache::Cache(const Config& cfg) : cfg_(cfg) {
   require(cfg_.line_bytes > 0 && cfg_.ways > 0 && cfg_.bytes > 0,
@@ -21,12 +13,11 @@ Cache::Cache(const Config& cfg) : cfg_(cfg) {
   require(cfg_.bytes % (cfg_.line_bytes * cfg_.ways) == 0,
           "cache size must be a multiple of ways * line size");
   sets_ = cfg_.bytes / (cfg_.line_bytes * cfg_.ways);
-  pow2_ = is_pow2(cfg_.line_bytes) && is_pow2(sets_);
-  if (pow2_) {
-    line_shift_ = log2_u32(cfg_.line_bytes);
-    set_shift_ = log2_u32(sets_);
-    set_mask_ = sets_ - 1;
-  }
+  require(std::has_single_bit(cfg_.line_bytes) && std::has_single_bit(sets_),
+          "cache line size and set count must be powers of two");
+  line_shift_ = static_cast<u32>(std::countr_zero(cfg_.line_bytes));
+  set_shift_ = static_cast<u32>(std::countr_zero(sets_));
+  set_mask_ = sets_ - 1;
   lines_.resize(static_cast<std::size_t>(sets_) * cfg_.ways);
   for (u32 s = 0; s < sets_; ++s) {
     for (u32 w = 0; w < cfg_.ways; ++w) lines_[s * cfg_.ways + w].lru = w;
@@ -124,13 +115,6 @@ bool Cache::invalidate(Addr addr) {
     }
   }
   return false;
-}
-
-void Cache::invalidate_all() {
-  for (Line& l : lines_) {
-    l.valid = false;
-    l.dirty = false;
-  }
 }
 
 void Cache::disable_ways(u32 n) {

@@ -113,16 +113,10 @@ private:
   /// Fetch a line from memory through the crossbar; returns fill-done cycle.
   Cycle fill_line(Addr addr, Cycle now);
   /// Cache lookup + miss handling for a cached access.
-  Cycle cached_access(Addr addr, u32 bytes, bool is_store, bool allocate,
-                      Cycle now);
+  Cycle cached_access(Addr addr, bool is_store, bool allocate, Cycle now);
   Cycle mshr_ready(Cycle now);
-  /// Record a completion time entering any buffer class: raises the drain
-  /// peak watermark.
-  void record(Cycle done) { peak_done_ = std::max(peak_done_, done); }
-  /// Recompute the drain watermark from live entries (after checkpoint
-  /// restore). Dead entries' completions are provably dominated by live
-  /// ones or by the resume cycle, so the rebuilt watermark is exact going
-  /// forward.
+  /// Recompute store_live_ from the restored store buffer and mark every
+  /// restored entry live (after checkpoint restore).
   void rebuild_watermarks();
 
   const TimingConfig& cfg_;
@@ -146,14 +140,10 @@ private:
   std::vector<MshrEntry> mshr_;     // in-flight line fills (<= cfg_.mshrs)
   Cycle prune_now_ = 0;
   // Max completion over every store ever buffered (not checkpointed;
-  // rebuilt like peak_done_): when <= now, no store is live and the
-  // forwarding scan is skipped outright.
+  // rebuilt from the store buffer on restore): when <= now, no store is
+  // live and the forwarding scan is skipped outright.
   Cycle store_live_ = 0;
   Cycle blocked_until_ = 0;         // blocking-load ablation
-  // Drain watermark (not checkpointed; rebuilt from live entries on
-  // restore): exact max over every completion ever buffered — makes
-  // drain() O(1) instead of a three-structure scan.
-  Cycle peak_done_ = 0;
   // This CPU's D$ access memo: direct-mapped by line address, self-
   // validating (Cache::hit_fast / access re-check the tag store), so
   // strided multi-array kernels keep several open lines inline at once.

@@ -79,9 +79,7 @@ private:
   /// full lookup, fills, parity-retry modelling.
   Cycle ifetch_lines_slow(u32 cpu, Addr first, Addr last, Cycle now);
 
-  /// Direct-mapped fetch-memo slot for a line address. line_shift_ is
-  /// garbage for non-pow2 line sizes, but then Cache::hit_fast rejects
-  /// every hint anyway, so a misindexed slot is merely never useful.
+  /// Direct-mapped fetch-memo slot for a line address.
   Cache::Hint& fetch_hint(u32 cpu, Addr line) {
     return ifetch_hints_[cpu][(line >> line_shift_) & (kFetchMemo - 1)];
   }
