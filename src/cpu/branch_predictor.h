@@ -24,7 +24,6 @@ public:
   /// Train with the resolved outcome (also updates the history register).
   void update(Addr pc, bool taken);
 
-  u64 lookups() const { return lookups_; }
   u64 correct() const { return correct_; }
   double accuracy() const {
     return lookups_ == 0 ? 0.0

@@ -57,7 +57,6 @@ void BitWriter::put(u32 value, u32 bits) {
       acc_bits_ = 0;
     }
   }
-  bits_ += bits;
 }
 
 std::vector<u8> BitWriter::finish() {

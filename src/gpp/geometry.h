@@ -57,11 +57,9 @@ class BitWriter {
 public:
   void put(u32 value, u32 bits);
   std::vector<u8> finish();
-  u64 bits_written() const { return bits_; }
 
 private:
   std::vector<u8> bytes_;
-  u64 bits_ = 0;
   u32 acc_ = 0;
   u32 acc_bits_ = 0;
 };
@@ -70,7 +68,6 @@ class BitReader {
 public:
   explicit BitReader(std::span<const u8> data) : data_(data) {}
   u32 get(u32 bits);
-  u64 bits_read() const { return pos_; }
 
 private:
   std::span<const u8> data_;

@@ -23,9 +23,6 @@ struct Image {
   Addr entry = kDefaultCodeBase;
   std::unordered_map<std::string, Addr> symbols;
 
-  Addr code_end() const { return code_base + code.size() * 4; }
-  Addr data_end() const { return data_base + data.size(); }
-
   /// Address of a defined symbol; throws majc::Error if unknown.
   Addr symbol(const std::string& name) const;
 };

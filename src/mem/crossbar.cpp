@@ -5,21 +5,6 @@
 
 namespace majc::mem {
 
-std::string_view port_name(Port p) {
-  switch (p) {
-    case Port::kCpu0: return "cpu0";
-    case Port::kCpu1: return "cpu1";
-    case Port::kGpp: return "gpp";
-    case Port::kDte: return "dte";
-    case Port::kNupa: return "nupa";
-    case Port::kSupa: return "supa";
-    case Port::kPci: return "pci";
-    case Port::kMem: return "mem";
-    case Port::kCount: break;
-  }
-  return "?";
-}
-
 Crossbar::Crossbar(const TimingConfig& cfg) : hop_(cfg.crossbar_hop) {
   // Internal agents run at the crossbar's native width (8 bytes/cycle at the
   // core clock = 4 GB/s per port); external interfaces are capped at their

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <array>
-#include <string_view>
 
 #include "src/soc/config.h"
 #include "src/support/types.h"
@@ -30,8 +29,6 @@ enum class Port : u8 {
 
 inline constexpr std::size_t kNumPorts = static_cast<std::size_t>(Port::kCount);
 
-std::string_view port_name(Port p);
-
 class Crossbar {
 public:
   explicit Crossbar(const TimingConfig& cfg);
@@ -51,7 +48,6 @@ public:
     return bandwidth_[static_cast<std::size_t>(p)];
   }
 
-  u64 port_bytes(Port p) const { return bytes_[static_cast<std::size_t>(p)]; }
   u64 transfers() const { return transfers_; }
   u64 delayed_grants() const { return delayed_grants_; }
   u64 dropped_grants() const { return dropped_grants_; }

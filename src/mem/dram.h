@@ -23,7 +23,6 @@ public:
   Cycle request(Addr addr, u32 bytes, Cycle now);
 
   u64 requests() const { return requests_; }
-  u64 bytes_transferred() const { return bytes_; }
   /// Cycles the channel was busy (for utilization reporting).
   u64 busy_cycles() const { return busy_cycles_; }
   void reset_stats();

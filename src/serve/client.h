@@ -24,7 +24,6 @@ public:
 
   bool connect(const std::string& socket_path, std::string* err);
   void close();
-  bool connected() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
   /// Send one frame; false on a broken connection.

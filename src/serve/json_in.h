@@ -38,7 +38,6 @@ public:
   /// Insertion-ordered key/value pairs (duplicate keys keep the first).
   std::vector<std::pair<std::string, JValue>> obj;
 
-  bool is_null() const { return kind == Kind::kNull; }
   bool is_bool() const { return kind == Kind::kBool; }
   bool is_number() const { return kind == Kind::kNumber; }
   bool is_string() const { return kind == Kind::kString; }

@@ -87,10 +87,6 @@ void load_image(const masm::Image& img, MemoryBus& mem) {
   }
 }
 
-void FunctionalSim::format_trap(std::string& out, u32 code, u32 value) {
-  format_console_trap(out, code, value);
-}
-
 FunctionalSim::FunctionalSim(masm::Image image, std::size_t mem_bytes)
     : FunctionalSim(make_program(std::move(image)), mem_bytes) {}
 

@@ -141,7 +141,6 @@ public:
 
   /// Traps delivered to a guest handler (SETTVEC) instead of ending the run.
   u64 traps_delivered() const { return traps_delivered_; }
-  const Trap& last_delivered_trap() const { return last_trap_; }
 
   /// Arm the integer divide-by-zero trap (default: div/0 yields 0).
   void set_trap_div_zero(bool on) { trap_div_zero_ = on; }
@@ -150,10 +149,6 @@ public:
   /// way). reset() restores the default (threaded), like every other knob.
   void set_backend(ExecBackend b) { backend_ = b; }
   ExecBackend backend() const { return backend_; }
-
-  /// Format one trap according to ConsoleTrap; shared with the SoC model so
-  /// functional and timed runs produce identical console text.
-  static void format_trap(std::string& out, u32 code, u32 value);
 
   template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 

@@ -49,10 +49,4 @@ Cycle Dte::submit(const Descriptor& d, Cycle now) {
   return done;
 }
 
-Cycle Dte::submit_chain(const std::vector<Descriptor>& chain, Cycle now) {
-  Cycle t = now;
-  for (const Descriptor& d : chain) t = submit(d, t);
-  return t;
-}
-
 } // namespace majc::soc

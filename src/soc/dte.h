@@ -9,7 +9,6 @@
 #pragma once
 
 #include <functional>
-#include <vector>
 
 #include "src/mem/memsys.h"
 #include "src/sim/memory.h"
@@ -35,9 +34,6 @@ public:
   /// (dirty source lines are written back first so the copy sees fresh
   /// data).
   Cycle submit(const Descriptor& d, Cycle now);
-
-  /// Convenience: chain several descriptors back-to-back.
-  Cycle submit_chain(const std::vector<Descriptor>& chain, Cycle now);
 
   u64 bytes_moved() const { return bytes_moved_; }
   u64 descriptors_run() const { return descriptors_; }

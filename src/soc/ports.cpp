@@ -55,12 +55,6 @@ Cycle IoPort::dma_in(Addr dst, std::span<const u8> data, Cycle now) {
   return move(dst, static_cast<u32>(data.size()), /*inbound=*/true, now);
 }
 
-Cycle IoPort::dma_out(Addr src, std::span<u8> out, Cycle now) {
-  if (!out.empty()) mem_.read(src, out);
-  bytes_out_ += out.size();
-  return move(src, static_cast<u32>(out.size()), /*inbound=*/false, now);
-}
-
 Cycle IoPort::stream(u32 bytes, bool inbound, Cycle now) {
   (inbound ? bytes_in_ : bytes_out_) += bytes;
   return move(/*mem_addr=*/0, bytes, inbound, now);

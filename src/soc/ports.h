@@ -52,17 +52,11 @@ public:
   /// invalidated (device writes go under the cache).
   Cycle dma_in(Addr dst, std::span<const u8> data, Cycle now);
 
-  /// Stream `bytes` from memory at `src` out of the chip; returns the
-  /// completion cycle and fills `out` if non-empty.
-  Cycle dma_out(Addr src, std::span<u8> out, Cycle now);
-
   /// Bandwidth accounting only: move `bytes` through the port to/from
   /// memory without data (used for saturation benchmarks).
   Cycle stream(u32 bytes, bool inbound, Cycle now);
 
   mem::Port port() const { return port_; }
-  u64 bytes_in() const { return bytes_in_; }
-  u64 bytes_out() const { return bytes_out_; }
 
   template <class Ar> void io(Ar& a);  // checkpoint: support/checkpoint.cpp
 

@@ -35,8 +35,6 @@ void Writer::put_u64(u64 v) {
   put_u32(static_cast<u32>(v >> 32));
 }
 
-void Writer::put_f64(double v) { put_u64(std::bit_cast<u64>(v)); }
-
 void Writer::put_bytes(std::span<const u8> v) {
   buf_.insert(buf_.end(), v.begin(), v.end());
 }
@@ -73,8 +71,6 @@ u64 Reader::get_u64() {
   const u64 lo = get_u32();
   return lo | (u64{get_u32()} << 32);
 }
-
-double Reader::get_f64() { return std::bit_cast<double>(get_u64()); }
 
 void Reader::get_bytes(std::span<u8> out) {
   need(out.size());

@@ -116,7 +116,6 @@ public:
   void put_u32(u32 v);
   void put_u64(u64 v);
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
-  void put_f64(double v);  // bit-exact (bit_cast to u64)
   void put_bytes(std::span<const u8> v);
   void put_string(const std::string& s);
   /// Four-character section tag; Reader::expect_tag verifies it, making a
@@ -153,7 +152,6 @@ public:
   u32 get_u32();
   u64 get_u64();
   bool get_bool() { return get_u8() != 0; }
-  double get_f64();
   void get_bytes(std::span<u8> out);
   std::string get_string();
   void expect_tag(const char (&tag)[5]);
