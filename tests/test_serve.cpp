@@ -225,6 +225,60 @@ TEST_F(ServeTest, MultiWorkerServingMatchesSerialReference) {
   EXPECT_EQ(reply.campaign, reference_campaign(req));
 }
 
+TEST_F(ServeTest, DifferingCampaignsInSequenceEachMatchOffline) {
+  // One server serves campaigns that leave its machines in different states
+  // (faults on and off, cycle and functional, both backends, a different
+  // program); each must still equal its offline reference, and repeating
+  // the first request must reproduce its bytes.
+  start();
+  serve::CampaignRequest storm;
+  storm.kernels = {"fir", "idct", "bitrev"};
+  storm.mode = "cycle";
+  storm.seeds = 2;
+  storm.seed = 0xfa17;
+
+  serve::CampaignRequest sweep;
+  sweep.kernels = {"biquad", "max_search"};
+  sweep.mode = "both";
+  sweep.faults = false;
+
+  serve::CampaignRequest interp;
+  interp.kernels = {"fft_radix2", "vld"};
+  interp.mode = "functional";
+  interp.backend = "interp";
+  serve::CampaignRequest threaded = interp;
+  threaded.backend = "threaded";
+
+  serve::CampaignRequest inline_src;
+  inline_src.source_name = "store_one";
+  inline_src.source_text = R"(
+      .data
+    buf: .space 8
+      .code
+      sethi g1, %hi(buf)
+      orlo g1, %lo(buf)
+      setlo g2, 77
+      stwi g2, g1, 0
+      halt
+  )";
+  inline_src.mode = "both";
+  inline_src.seeds = 2;
+
+  std::vector<std::string> served;
+  u64 id = 10;
+  for (serve::CampaignRequest* req :
+       {&storm, &sweep, &interp, &threaded, &inline_src, &storm}) {
+    req->id = ++id;
+    const serve::CampaignReply reply = serve_one(*req);
+    ASSERT_TRUE(reply.ok) << id << ": " << reply.error_code << ": "
+                          << reply.error_message;
+    EXPECT_EQ(reply.failures, 0u) << id;
+    EXPECT_EQ(reply.campaign, reference_campaign(*req)) << id;
+    served.push_back(reply.campaign);
+  }
+  EXPECT_EQ(served.back(), served.front());
+}
+
 TEST_F(ServeTest, StatsAndPingRoundTrip) {
   start();
   serve::Client client;
