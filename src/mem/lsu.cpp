@@ -48,7 +48,7 @@ Lsu::Lsu(const TimingConfig& cfg, Cache& dcache, Dram& dram, Crossbar& xbar,
       port_(port),
       dport_free_(dcache_port_free),
       plan_(plan) {
-  line_shift_ = static_cast<u32>(std::countr_zero(cfg_.line_bytes));
+  line_shift_ = static_cast<u32>(std::countr_zero(kLineBytes));
   // Buffers are small and bounded (atomics may briefly push loads_ past its
   // nominal capacity): one reservation keeps the issue path allocation-free.
   loads_.reserve(cfg_.load_buffers + 4);
@@ -65,11 +65,11 @@ void Lsu::rebuild_watermarks() {
 }
 
 Cycle Lsu::fill_line(Addr addr, Cycle now) {
-  const Addr line = addr & ~Addr{cfg_.line_bytes - 1};
+  const Addr line = addr & ~Addr{kLineBytes - 1};
   const Cycle at_mem = xbar_.transfer(port_, Port::kMem, 0, now);
-  const Cycle dram_done = dram_.request(line, cfg_.line_bytes, at_mem);
+  const Cycle dram_done = dram_.request(line, kLineBytes, at_mem);
   // Return path for the line through the crossbar.
-  Cycle done = xbar_.transfer(Port::kMem, port_, cfg_.line_bytes, dram_done);
+  Cycle done = xbar_.transfer(Port::kMem, port_, kLineBytes, dram_done);
   if (plan_ != nullptr) {
     // Parity-bad fills are discarded and refetched from DRDRAM. Data stays
     // correct (the backing store is the truth); the cost is purely timing —
@@ -87,8 +87,8 @@ Cycle Lsu::fill_line(Addr addr, Cycle now) {
       }
       bump(LsuCounter::kFillParityRetries);
       const Cycle at2 = xbar_.transfer(port_, Port::kMem, 0, done);
-      done = xbar_.transfer(Port::kMem, port_, cfg_.line_bytes,
-                            dram_.request(line, cfg_.line_bytes, at2));
+      done = xbar_.transfer(Port::kMem, port_, kLineBytes,
+                            dram_.request(line, kLineBytes, at2));
     }
   }
   return done;
@@ -104,7 +104,7 @@ Cycle Lsu::mshr_ready(Cycle now) {
 Cycle Lsu::cached_access(Addr addr, bool is_store, bool allocate, Cycle now) {
   // A fill already in flight for this line? Attach to it (miss merge). The
   // `done > now` filter skips lazily retained retired fills.
-  const Addr line = addr & ~Addr{cfg_.line_bytes - 1};
+  const Addr line = addr & ~Addr{kLineBytes - 1};
   for (const MshrEntry& e : mshr_) {
     if (e.line == line && e.done > now) {
       bump(LsuCounter::kMshrMerges);
@@ -132,8 +132,8 @@ Cycle Lsu::cached_access(Addr addr, bool is_store, bool allocate, Cycle now) {
   if (allocate && mshr_.size() < cfg_.mshrs) mshr_.push_back({line, done});
   if (res.writeback) {
     // Victim write-back: consumes channel bandwidth but nobody waits on it.
-    const Cycle at_mem = xbar_.transfer(port_, Port::kMem, cfg_.line_bytes, done);
-    dram_.request(res.victim_line, cfg_.line_bytes, at_mem);
+    const Cycle at_mem = xbar_.transfer(port_, Port::kMem, kLineBytes, done);
+    dram_.request(res.victim_line, kLineBytes, at_mem);
   }
   return done;
 }
@@ -239,7 +239,7 @@ Lsu::IssueResult Lsu::issue(const MemAccess& acc, Cycle now) {
         // Non-allocating store miss: no read-for-ownership — stores combine
         // in a small buffer of open lines and each touched line is written
         // out once.
-        const Addr line = acc.addr & ~Addr{cfg_.line_bytes - 1};
+        const Addr line = acc.addr & ~Addr{kLineBytes - 1};
         bool open = false;
         WcEntry* victim = &wc_[0];
         for (WcEntry& e : wc_) {
@@ -251,9 +251,9 @@ Lsu::IssueResult Lsu::issue(const MemAccess& acc, Cycle now) {
         }
         if (!open) {
           const Cycle at_mem =
-              xbar_.transfer(port_, Port::kMem, cfg_.line_bytes, now);
+              xbar_.transfer(port_, Port::kMem, kLineBytes, now);
           wc_done_ = std::max(wc_done_,
-                              dram_.request(line, cfg_.line_bytes, at_mem));
+                              dram_.request(line, kLineBytes, at_mem));
           victim->line = line;
           victim->opened = now;
           bump(LsuCounter::kWcLines);
@@ -288,7 +288,7 @@ Lsu::IssueResult Lsu::issue(const MemAccess& acc, Cycle now) {
     case MemAccess::Kind::kPrefetch: {
       if (!cfg_.prefetch_enabled) return out;
       if (dcache_.probe(acc.addr, &dhint(acc.addr))) return out;
-      const Addr line = acc.addr & ~Addr{cfg_.line_bytes - 1};
+      const Addr line = acc.addr & ~Addr{kLineBytes - 1};
       for (const MshrEntry& e : mshr_) {
         if (e.line == line && e.done > now) return out;  // fill in flight
       }

@@ -12,13 +12,13 @@ MemorySystem::MemorySystem(const TimingConfig& cfg)
       plan_(cfg_.faults),
       xbar_(cfg_),
       dram_(cfg_),
-      dcache_({cfg_.dcache_bytes, cfg_.dcache_ways, cfg_.line_bytes, "dcache"}),
-      icaches_{Cache{{cfg_.icache_bytes, cfg_.icache_ways, cfg_.line_bytes,
+      dcache_({cfg_.dcache_bytes, cfg_.dcache_ways, kLineBytes, "dcache"}),
+      icaches_{Cache{{cfg_.icache_bytes, cfg_.icache_ways, kLineBytes,
                       "icache0"}},
-               Cache{{cfg_.icache_bytes, cfg_.icache_ways, cfg_.line_bytes,
+               Cache{{cfg_.icache_bytes, cfg_.icache_ways, kLineBytes,
                       "icache1"}}} {
-  line_mask_ = ~Addr{cfg_.line_bytes - 1};
-  line_shift_ = static_cast<u32>(std::countr_zero(cfg_.line_bytes));
+  line_mask_ = ~Addr{kLineBytes - 1};
+  line_shift_ = static_cast<u32>(std::countr_zero(kLineBytes));
   xbar_.set_fault_plan(&plan_);
   dcache_.disable_ways(cfg_.dcache_disabled_ways);
   for (auto& ic : icaches_) ic.disable_ways(cfg_.icache_disabled_ways);
@@ -34,15 +34,15 @@ Cycle MemorySystem::ifetch_lines_slow(u32 cpu, Addr first, Addr last,
   Cache& ic = icaches_[cpu];
   const Port port = cpu == 0 ? Port::kCpu0 : Port::kCpu1;
   Cycle ready = now;
-  for (Addr line = first; line <= last; line += cfg_.line_bytes) {
+  for (Addr line = first; line <= last; line += kLineBytes) {
     // access() refreshes the line's memo slot on both hit and allocate, so
     // the next fetch of this line resolves inline.
     if (!ic.access(line, /*is_store=*/false, /*allocate=*/true,
                    &fetch_hint(cpu, line))
              .hit) {
       const Cycle at_mem = xbar_.transfer(port, Port::kMem, 0, now);
-      const Cycle dram_done = dram_.request(line, cfg_.line_bytes, at_mem);
-      Cycle fill = xbar_.transfer(Port::kMem, port, cfg_.line_bytes, dram_done);
+      const Cycle dram_done = dram_.request(line, kLineBytes, at_mem);
+      Cycle fill = xbar_.transfer(Port::kMem, port, kLineBytes, dram_done);
       // Parity-bad I$ fills are refetched (timing-only fault), bounded the
       // same way as D$ fills: persistent corruption is a machine check, not
       // a watchdog-bound livelock.
@@ -58,8 +58,8 @@ Cycle MemorySystem::ifetch_lines_slow(u32 cpu, Addr first, Addr last,
         }
         ++ifetch_parity_retries_;
         const Cycle at2 = xbar_.transfer(port, Port::kMem, 0, fill);
-        fill = xbar_.transfer(Port::kMem, port, cfg_.line_bytes,
-                              dram_.request(line, cfg_.line_bytes, at2));
+        fill = xbar_.transfer(Port::kMem, port, kLineBytes,
+                              dram_.request(line, kLineBytes, at2));
       }
       ready = std::max(ready, fill);
     }

@@ -58,7 +58,7 @@ public:
     Addr line = addr & line_mask_;
     const Addr last = (addr + bytes - 1) & line_mask_;
     Cache& ic = icaches_[cpu];
-    for (; line <= last; line += cfg_.line_bytes) {
+    for (; line <= last; line += kLineBytes) {
       if (!ic.hit_fast(line, /*is_store=*/false, fetch_hint(cpu, line))) {
         return ifetch_lines_slow(cpu, line, last, now);
       }
@@ -93,7 +93,7 @@ private:
   Cycle dport_free_ = 0;  // single-port D$ arbitration (ablation)
   // Per-CPU I$ fetch memo: direct-mapped by line address, self-validating.
   static constexpr u32 kFetchMemo = 64;
-  Addr line_mask_ = 0;  // ~(line_bytes - 1)
+  Addr line_mask_ = 0;  // ~(kLineBytes - 1)
   u32 line_shift_ = 0;
   std::array<std::array<Cache::Hint, kFetchMemo>, kNumCpus> ifetch_hints_{};
   std::array<std::unique_ptr<Lsu>, kNumCpus> lsus_;

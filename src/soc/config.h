@@ -22,7 +22,6 @@ struct TimingConfig {
   u32 dcache_ways = 4;
   bool dcache_dual_ported = true;   // ablation: false = 1 port, CPUs contend
   bool perfect_dcache = false;      // "without memory effects" mode (Table 3)
-  u32 line_bytes = kLineBytes;
   u32 load_to_use = 2;              // D$ hit load-to-use (paper §3.2)
 
   // ---- LSU (paper §3.2) ----

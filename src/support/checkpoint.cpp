@@ -186,7 +186,7 @@ u64 config_fingerprint(const TimingConfig& c) {
   fnv_u64(h, c.dcache_ways);
   fnv_u64(h, c.dcache_dual_ported);
   fnv_u64(h, c.perfect_dcache);
-  fnv_u64(h, c.line_bytes);
+  fnv_u64(h, kLineBytes);  // once a knob; hashed to keep v2 bytes
   fnv_u64(h, c.load_to_use);
   fnv_u64(h, c.load_buffers);
   fnv_u64(h, c.store_buffers);
