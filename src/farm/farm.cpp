@@ -382,6 +382,7 @@ soc::Majc5200& WorkerMachines::acquire_cycle(const sim::ProgramRef& program,
                                              const TimingConfig& cfg) {
   if (!cycle_) {
     cycle_.emplace(program, /*num_cpus=*/1, cfg);
+    if (built_ != nullptr) ++*built_;
   } else {
     cycle_->reset(program, cfg);
   }
@@ -392,10 +393,36 @@ sim::FunctionalSim& WorkerMachines::acquire_functional(
     const sim::ProgramRef& program) {
   if (!functional_) {
     functional_.emplace(program);
+    if (built_ != nullptr) ++*built_;
   } else {
     functional_->reset(program);
   }
   return *functional_;
+}
+
+MachinePool::Lease::Lease(MachinePool& pool) : pool_(pool) {
+  {
+    std::lock_guard<std::mutex> lk(pool_.mu_);
+    if (!pool_.free_.empty()) {
+      machines_ = std::move(pool_.free_.back());
+      pool_.free_.pop_back();
+      return;
+    }
+  }
+  machines_ = std::make_unique<WorkerMachines>(&pool_.built_);
+}
+
+MachinePool::Lease::~Lease() {
+  std::lock_guard<std::mutex> lk(pool_.mu_);
+  pool_.free_.push_back(std::move(machines_));
+}
+
+void MachinePool::clear() {
+  std::vector<std::unique_ptr<WorkerMachines>> idle;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    idle.swap(free_);
+  }
 }
 
 u32 Engine::add_kernel(kernels::CompiledKernel k) {
@@ -430,8 +457,10 @@ std::vector<JobResult> Engine::run(const RunOptions& opts) const {
   std::atomic<std::size_t> cursor{0};
   const auto t0 = Clock::now();
 
+  MachinePool run_local;
+  MachinePool& pool = opts.machines != nullptr ? *opts.machines : run_local;
   auto worker_loop = [&](u32 wid) {
-    WorkerMachines machines;
+    MachinePool::Lease machines(pool);
     for (;;) {
       if (ctl != nullptr &&
           (ctl->cancel_requested() || ctl->drain_requested())) {
@@ -462,7 +491,7 @@ std::vector<JobResult> Engine::run(const RunOptions& opts) const {
       RunControl::Suspended suspended;
       const JobStatus st =
           run_resilient(kernels_[job.kernel], job, static_cast<u32>(i),
-                        machines, opts, resume, out, suspended);
+                        *machines, opts, resume, out, suspended);
       out.host_secs = secs_since(j0);
       if (st == JobStatus::kFinished) {
         out.done = true;

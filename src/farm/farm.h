@@ -10,10 +10,11 @@
 //     once (kernels::CompiledKernel); every worker aliases the same
 //     read-only sim::Program instead of re-deriving it per job. This is a
 //     constant per-job saving that shows up even at --jobs=1.
-//   * per-worker machine reuse — each worker owns one resettable one-CPU
+//   * per-worker machine reuse — each worker holds one resettable one-CPU
 //     soc::Majc5200 and one FunctionalSim arena and reinitializes them in
 //     place per job (reset()), so the 32 MB guest arena is allocated once
-//     per worker, not once per job.
+//     per worker, not once per job. A caller-owned MachinePool carries the
+//     machines across runs (majcd reuses them across campaigns).
 //   * deterministic aggregation — jobs are pulled from an atomic cursor in
 //     any order, but results land in a submission-order vector, and
 //     campaign JSON (src/farm/campaign.h) carries no host-timing fields, so
@@ -38,6 +39,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -265,6 +267,10 @@ private:
 /// every subsequent job.
 class WorkerMachines {
 public:
+  /// `built`, when given, counts every machine this set constructs.
+  explicit WorkerMachines(std::atomic<u64>* built = nullptr)
+      : built_(built) {}
+
   /// Machine handout for the resilient executor: ensure the machine exists
   /// and is freshly reset to (program, cfg) — i.e. indistinguishable from a
   /// newly constructed one.
@@ -273,8 +279,41 @@ public:
   sim::FunctionalSim& acquire_functional(const sim::ProgramRef& program);
 
 private:
+  std::atomic<u64>* built_;
   std::optional<soc::Majc5200> cycle_;
   std::optional<sim::FunctionalSim> functional_;
+};
+
+/// A free list of WorkerMachines that outlives one Engine::run. Each worker
+/// takes a set when it starts and gives it back when it exits, so a later
+/// run reuses the arenas an earlier run built; acquire_* resets a reused
+/// machine to a state indistinguishable from a fresh one. The pool never
+/// holds more sets than the most workers that ran at once.
+class MachinePool {
+public:
+  /// A set taken from the pool for one worker; gives it back on destruction.
+  class Lease {
+  public:
+    explicit Lease(MachinePool& pool);
+    ~Lease();
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    WorkerMachines& operator*() { return *machines_; }
+
+  private:
+    MachinePool& pool_;
+    std::unique_ptr<WorkerMachines> machines_;
+  };
+
+  /// Drop every idle set (and with it its arenas).
+  void clear();
+  /// Majc5200 and FunctionalSim objects constructed by this pool's sets.
+  u64 machines_built() const { return built_.load(); }
+
+private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<WorkerMachines>> free_;
+  std::atomic<u64> built_{0};
 };
 
 /// Work-queue thread pool over a submitted job matrix.
@@ -300,6 +339,9 @@ public:
     CampaignStats* stats = nullptr;
     RunControl* control = nullptr;  // cancellation/drain + resume store
     const ChaosPlan* chaos = nullptr;
+    /// Where workers take their machines from (nullptr = a pool local to
+    /// this run, so every run builds its own).
+    MachinePool* machines = nullptr;
   };
 
   /// Execute every submitted job on `workers` threads and return results in

@@ -132,6 +132,7 @@ bool fetch_stats(Client& c, u64 id, ServeStats* out, std::string* err) {
   out->errors_sent = rsp.member_u64("errors_sent", 0);
   out->active_campaigns = rsp.member_u64("active_campaigns", 0);
   out->queued_campaigns = rsp.member_u64("queued_campaigns", 0);
+  out->machines_built = rsp.member_u64("machines_built", 0);
   out->draining = rsp.member_bool("draining", false);
   return true;
 }

@@ -247,6 +247,7 @@ std::string stats_response(u64 id, const ServeStats& s) {
   r.j.kv("errors_sent", s.errors_sent);
   r.j.kv("active_campaigns", s.active_campaigns);
   r.j.kv("queued_campaigns", s.queued_campaigns);
+  r.j.kv("machines_built", s.machines_built);
   r.j.kv("draining", s.draining);
   return r.close();
 }

@@ -96,6 +96,9 @@ struct ServeStats {
   u64 errors_sent = 0;
   u64 active_campaigns = 0;
   u64 queued_campaigns = 0;
+  /// Machines (cycle and functional) the server's pool has constructed;
+  /// host-only, like every other field here.
+  u64 machines_built = 0;
   bool draining = false;
 };
 

@@ -133,6 +133,7 @@ void Server::stop() {
     listen_fd_ = -1;
     ::unlink(cfg_.socket_path.c_str());
   }
+  machines_.clear();  // every campaign has ended, so no set is lent out
   started_.store(false);
 }
 
@@ -150,6 +151,7 @@ ServeStats Server::stats() const {
     s.active_campaigns = running_;
     s.queued_campaigns = queued_;
   }
+  s.machines_built = machines_.machines_built();
   s.draining = stopping_.load();
   return s;
 }
@@ -273,18 +275,24 @@ void Server::serve_connection(Conn* conn) {
 Server::Admit Server::admit() {
   std::unique_lock<std::mutex> lk(admit_mu_);
   if (stopping_.load()) return Admit::kDraining;
-  if (running_ < cfg_.max_concurrent) {
+  if (queued_ == 0 && running_ < cfg_.max_concurrent) {
     ++running_;
     return Admit::kAdmitted;
   }
   if (queued_ >= cfg_.max_queue) return Admit::kOverloaded;
+  const u64 ticket = next_ticket_++;
   ++queued_;
-  admit_cv_.wait(lk, [this] {
-    return stopping_.load() || running_ < cfg_.max_concurrent;
+  admit_cv_.wait(lk, [&] {
+    return stopping_.load() ||
+           (ticket == serving_ticket_ && running_ < cfg_.max_concurrent);
   });
   --queued_;
+  // A drained waiter leaves its ticket unserved: every later one drains too.
   if (stopping_.load()) return Admit::kDraining;
+  ++serving_ticket_;
   ++running_;
+  // The next ticket may fit a slot that is still free.
+  admit_cv_.notify_all();
   return Admit::kAdmitted;
 }
 
@@ -293,7 +301,9 @@ void Server::release() {
     std::lock_guard<std::mutex> lk(admit_mu_);
     --running_;
   }
-  admit_cv_.notify_one();
+  // Only the next ticket can take the slot, and notify_one might wake
+  // another waiter.
+  admit_cv_.notify_all();
 }
 
 bool Server::handle_campaign(Conn* conn, const JValue& req) {
@@ -408,6 +418,7 @@ bool Server::handle_campaign(Conn* conn, const JValue& req) {
         r.workers != 0 ? std::min<u64>(r.workers, cfg_.workers)
                        : cfg_.workers);
     opts.control = &control;
+    opts.machines = &machines_;
     HangupWatch watch(conn->fd, &control);
     const std::vector<farm::JobResult> results = eng.run(opts);
     if (watch.hung_up()) {

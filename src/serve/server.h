@@ -13,8 +13,14 @@
 //   * admission — at most `max_concurrent` campaigns execute at once;
 //     up to `max_queue` more wait (blocking their connection: that is the
 //     backpressure signal a client feels); beyond that, a structured
-//     `overloaded` error. The ack frame is sent on admission, so a client
-//     that has its ack knows it holds an execution slot.
+//     `overloaded` error. Waiters are admitted in arrival order, and an
+//     arrival never overtakes a waiter. The ack frame is sent on
+//     admission, so a client that has its ack knows it holds an execution
+//     slot.
+//   * machine pool — campaigns take their farm workers' machines from one
+//     server-owned farm::MachinePool, so only the first campaigns build
+//     arenas; at most max_concurrent x workers sets exist, and stop()
+//     frees them.
 //   * per-client quota — `per_client_quota` campaigns per connection
 //     (0 = unlimited); exceeding it earns `quota-exceeded`.
 //   * kernel cache — named kernels are precompiled at startup; inline
@@ -97,7 +103,8 @@ private:
                   std::string_view message);
 
   // Admission control. Returns kAdmitted after acquiring a slot (possibly
-  // blocking in the bounded queue), or the structured rejection.
+  // blocking in the bounded queue, first come first served), or the
+  // structured rejection.
   enum class Admit : u8 { kAdmitted, kOverloaded, kDraining };
   Admit admit();
   void release();
@@ -114,6 +121,12 @@ private:
   std::condition_variable admit_cv_;
   unsigned running_ = 0;
   unsigned queued_ = 0;
+  // Queued admissions hold tickets; the one holding `serving_ticket_` is
+  // next to take a free slot.
+  u64 next_ticket_ = 0;
+  u64 serving_ticket_ = 0;
+
+  farm::MachinePool machines_;
 
   mutable std::mutex conns_mu_;
   std::vector<std::unique_ptr<Conn>> conns_;

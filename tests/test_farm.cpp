@@ -8,6 +8,7 @@
 //    even after running a *different* kernel in between.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/farm/campaign.h"
@@ -214,6 +215,29 @@ TEST(Farm, WorkerMachinesReuseMatchesFreshAcrossModes) {
   expect_same_run(f1, kernels::run_kernel_functional(k.spec));
   expect_same_run(c2, c1);
   expect_same_run(f2, f1);
+}
+
+TEST(Farm, MachinePoolCarriesMachinesAcrossRuns) {
+  // Runs that share a pool reuse the machines an earlier run built, and the
+  // bytes equal those of a run that built its own.
+  const farm::Engine eng = make_small_campaign(/*with_faults=*/true);
+  const std::string fresh = farm::campaign_json(eng, eng.run(1), kSeed);
+  farm::MachinePool pool;
+  farm::Engine::RunOptions opts;
+  opts.workers = 2;
+  opts.machines = &pool;
+
+  EXPECT_EQ(farm::campaign_json(eng, eng.run(opts), kSeed), fresh);
+  const u64 built = pool.machines_built();
+  EXPECT_GE(built, 2u);
+  EXPECT_LE(built, 4u);  // at most one cycle and one functional per worker
+  EXPECT_EQ(farm::campaign_json(eng, eng.run(opts), kSeed), fresh);
+  EXPECT_EQ(pool.machines_built(), built);
+
+  pool.clear();  // the next run starts from no machines again
+  opts.workers = 1;
+  EXPECT_EQ(farm::campaign_json(eng, eng.run(opts), kSeed), fresh);
+  EXPECT_EQ(pool.machines_built(), built + 2);
 }
 
 // --------------------------------------------------------------- error paths

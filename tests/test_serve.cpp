@@ -85,11 +85,16 @@ std::vector<std::string> all_table12_names() {
   return names;
 }
 
+serve::ServerConfig two_workers() {
+  serve::ServerConfig cfg;
+  cfg.workers = 2;
+  return cfg;
+}
+
 class ServeTest : public ::testing::Test {
 protected:
-  void start(serve::ServerConfig cfg = {}) {
+  void start(serve::ServerConfig cfg = two_workers()) {
     cfg.socket_path = unique_socket_path();
-    cfg.workers = 2;
     server_ = std::make_unique<serve::Server>(std::move(cfg));
     std::string err;
     ASSERT_TRUE(server_->start(&err)) << err;

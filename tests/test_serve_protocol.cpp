@@ -8,9 +8,11 @@
 // server's admission state is back to idle.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -110,6 +112,19 @@ protected:
     ASSERT_TRUE(serve::run_campaign(c, quick_request(901), &reply, &err))
         << err;
     ASSERT_TRUE(reply.ok) << reply.error_code << ": " << reply.error_message;
+  }
+
+  /// Poll the server's stats until `done(stats)` holds (5 s at most).
+  template <typename Pred>
+  serve::ServeStats wait_stats(serve::Client* c, Pred done) {
+    serve::ServeStats s;
+    std::string err;
+    for (int i = 0; i < 500; ++i) {
+      EXPECT_TRUE(serve::fetch_stats(*c, 904, &s, &err)) << err;
+      if (done(s)) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return s;
   }
 
   std::unique_ptr<serve::Server> server_;
@@ -380,6 +395,147 @@ TEST_F(ServeProtocolTest, DrainWithInFlightCampaignDoesNotHang) {
     }
   }
   server_.reset();
+}
+
+/// Read the frames of a campaign stream up to and including its raw
+/// majc-farm-v1 payload.
+void drain_campaign(serve::Client* c) {
+  std::string payload;
+  for (;;) {
+    ASSERT_TRUE(c->recv(&payload));
+    serve::JValue rsp;
+    std::string perr;
+    ASSERT_TRUE(serve::json_parse(payload, &rsp, &perr)) << perr;
+    const std::string type = rsp.member_string("type", "");
+    ASSERT_TRUE(type == "ack" || type == "job" || type == "campaign") << type;
+    if (type == "campaign") break;
+  }
+  ASSERT_TRUE(c->recv(&payload));
+}
+
+TEST_F(ServeProtocolTest, QueuedCampaignsAreAdmittedInArrivalOrder) {
+  serve::ServerConfig cfg;
+  cfg.max_concurrent = 1;
+  start(cfg);
+  serve::Client stats;
+  ASSERT_TRUE(connect(&stats));
+  for (int trial = 0; trial < 5; ++trial) {
+    SCOPED_TRACE(trial);
+    // The holder takes the only slot, and its next campaign is already
+    // waiting in its socket when the first one ends: the serving thread
+    // asks for a slot again the moment it releases one. It must queue
+    // behind A, B and C, not overtake them.
+    serve::Client holder;
+    ASSERT_TRUE(connect(&holder));
+    ASSERT_TRUE(holder.send(serve::campaign_request_json(slow_request(1, 1))));
+    std::string payload;
+    ASSERT_TRUE(holder.recv(&payload));  // ack: the slot is held
+    ASSERT_TRUE(holder.send(serve::campaign_request_json(quick_request(2))));
+    std::string err;
+    serve::ServeStats before;
+    ASSERT_TRUE(serve::fetch_stats(stats, 905, &before, &err)) << err;
+
+    // Queue A, B and C, in that order. Each holds the slot, once admitted,
+    // until its client hangs up.
+    std::array<serve::Client, 3> queued;
+    for (u64 i = 0; i < queued.size(); ++i) {
+      ASSERT_TRUE(connect(&queued[i]));
+      ASSERT_TRUE(
+          queued[i].send(serve::campaign_request_json(slow_request(10 + i, 16))));
+      const serve::ServeStats s = wait_stats(
+          &stats, [&](const serve::ServeStats& st) {
+            return st.queued_campaigns == i + 1;
+          });
+      ASSERT_EQ(s.queued_campaigns, i + 1);
+    }
+    serve::ServeStats filled;
+    ASSERT_TRUE(serve::fetch_stats(stats, 906, &filled, &err)) << err;
+    ASSERT_EQ(filled.campaigns_served, before.campaigns_served)
+        << "the holding campaign ended before the queue filled";
+
+    // Release: the holder's first campaign runs to its end.
+    drain_campaign(&holder);
+
+    // Admission order is A, B, C, holder: each next ack arrives before any
+    // later waiter's, and hanging up frees the slot for the next one.
+    const std::array<serve::Client*, 4> waiters = {&queued[0], &queued[1],
+                                                   &queued[2], &holder};
+    for (std::size_t next = 0; next < waiters.size(); ++next) {
+      std::vector<pollfd> pfds;
+      for (std::size_t i = next; i < waiters.size(); ++i) {
+        pfds.push_back({waiters[i]->fd(), POLLIN, 0});
+      }
+      ASSERT_GT(::poll(pfds.data(), pfds.size(), 30'000), 0);
+      for (std::size_t i = 1; i < pfds.size(); ++i) {
+        EXPECT_EQ(pfds[i].revents, 0)
+            << "waiter " << next + i << " admitted before waiter " << next;
+      }
+      ASSERT_NE(pfds[0].revents & POLLIN, 0) << "waiter " << next;
+      ASSERT_TRUE(waiters[next]->recv(&payload));
+      serve::JValue rsp;
+      std::string perr;
+      ASSERT_TRUE(serve::json_parse(payload, &rsp, &perr)) << perr;
+      ASSERT_EQ(rsp.member_string("type", ""), "ack");
+      waiters[next]->close();
+    }
+  }
+  expect_server_healthy();
+}
+
+TEST_F(ServeProtocolTest, ServerReusesMachinesAcrossCampaigns) {
+  start();  // one farm worker, two admission slots
+  serve::Client c;
+  ASSERT_TRUE(connect(&c));
+  std::string err;
+  serve::CampaignReply first;
+  for (u64 i = 1; i <= 5; ++i) {
+    serve::CampaignRequest req = quick_request(i);
+    req.mode = "both";
+    serve::CampaignReply reply;
+    ASSERT_TRUE(serve::run_campaign(c, req, &reply, &err)) << err;
+    ASSERT_TRUE(reply.ok) << reply.error_code;
+    if (i == 1) first = reply;
+    EXPECT_EQ(reply.campaign, first.campaign);
+  }
+  // One cycle and one functional machine, built by the first campaign.
+  serve::ServeStats s;
+  ASSERT_TRUE(serve::fetch_stats(c, 6, &s, &err)) << err;
+  EXPECT_EQ(s.machines_built, 2u);
+}
+
+TEST_F(ServeProtocolTest, ConcurrentCampaignsBuildAtMostOneSetPerSlot) {
+  serve::ServerConfig cfg;
+  cfg.max_concurrent = 2;
+  start(cfg);
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  for (u64 t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      serve::Client c;
+      std::string err;
+      if (!c.connect(server_->config().socket_path, &err)) {
+        ++failures;
+        return;
+      }
+      for (u64 i = 0; i < 3; ++i) {
+        serve::CampaignRequest req = quick_request(10 * t + i);
+        req.mode = "both";
+        serve::CampaignReply reply;
+        if (!serve::run_campaign(c, req, &reply, &err) || !reply.ok) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_EQ(failures.load(), 0);
+  serve::Client c;
+  ASSERT_TRUE(connect(&c));
+  const serve::ServeStats s = wait_stats(
+      &c, [](const serve::ServeStats& st) { return st.campaigns_served == 6; });
+  EXPECT_EQ(s.campaigns_served, 6u);
+  EXPECT_GE(s.machines_built, 2u);
+  EXPECT_LE(s.machines_built, 2u * cfg.max_concurrent);
 }
 
 TEST_F(ServeProtocolTest, ManyParallelClientsAllGetCorrectStreams) {
