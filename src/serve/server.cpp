@@ -96,8 +96,12 @@ bool Server::start(std::string* err) {
 
 void Server::begin_shutdown() {
   if (stopping_.exchange(true)) return;
-  // Wake queued admissions so they can answer `draining`.
-  admit_cv_.notify_all();
+  // Wake queued admissions so they can answer `draining`. Notifying under
+  // the mutex means no waiter can test the flag and then miss the wake-up.
+  {
+    std::lock_guard<std::mutex> lk(admit_mu_);
+    admit_cv_.notify_all();
+  }
   // Interrupt in-flight campaigns at their next slice/job boundary.
   {
     std::lock_guard<std::mutex> lk(controls_mu_);
