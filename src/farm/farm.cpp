@@ -418,11 +418,8 @@ MachinePool::Lease::~Lease() {
 }
 
 void MachinePool::clear() {
-  std::vector<std::unique_ptr<WorkerMachines>> idle;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    idle.swap(free_);
-  }
+  std::lock_guard<std::mutex> lk(mu_);
+  free_.clear();
 }
 
 u32 Engine::add_kernel(kernels::CompiledKernel k) {
